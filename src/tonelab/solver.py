@@ -13,11 +13,21 @@ occur, so every coloring is equivalent to a canonical one. The search
 enumerates exactly the canonical assignments, hence Infeasible means no
 coloring exists at all. Forcing the first vertex to {0..t-1} is the
 used=0 case of the same rule.
+
+The search runs on explicit stacks: one lazy candidate stream per search
+position, and inside each stream one frame per picked color. Its depth is
+therefore bounded by n and t, not by Python's recursion limit.
+
+Search effort is counted in nodes, which are deterministic and drive the
+node budget: each entry into a position's candidate search (see
+_candidate_sets) is one node, and each placement of a candidate set is one
+more.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -141,27 +151,32 @@ def _prepare(
 
 
 class _Meter:
-    """Deterministic work counter enforcing node and wall-clock caps.
+    """Node counter and budget shared by one search and its candidate streams.
 
-    A node is any search step: a vertex placement attempt or an entry into
-    the candidate-subset DFS. Counting the latter keeps barren candidate
-    enumerations interruptible, not just completed placements.
+    Hot loops keep the count in a local variable, store it back in
+    ``nodes`` before handing control elsewhere, and call ``overrun`` only
+    once the count passes ``limit``: the node cap, or the next wall-clock
+    check, due at the first node and every 1024 nodes after it.
     """
 
-    __slots__ = ("nodes", "cap", "deadline")
+    __slots__ = ("nodes", "limit", "cap", "deadline")
 
-    def __init__(self, cap: float = float("inf"), deadline: Optional[float] = None):
+    def __init__(self, cap: Optional[int] = None, deadline: Optional[float] = None):
         self.nodes = 0
-        self.cap = cap
+        self.cap = sys.maxsize if cap is None else cap
         self.deadline = deadline
+        self.limit = self.cap if deadline is None else 0
 
-    def step(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.cap:
+    def overrun(self, nodes: int) -> int:
+        """Record ``nodes``; raise if a cap is spent, else return the next limit."""
+        self.nodes = nodes
+        if nodes > self.cap:
+            self.nodes = self.cap + 1  # where a node-by-node check stops
             raise _BudgetExhausted
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
+        if time.monotonic() > self.deadline:
+            raise _BudgetExhausted
+        self.limit = min(self.cap, nodes + 1024)
+        return self.limit
 
 
 def _candidate_sets(
@@ -176,97 +191,194 @@ def _candidate_sets(
     ``used`` colors have been introduced so far; by the introduce-in-order
     rule they are exactly 0..used-1, and any new colors in the candidate
     must be used, used+1, ... consecutively. Each yielded mask satisfies
-    popcount(mask & cmask) <= limit for every (cmask, limit) constraint.
-    Constraint masks only contain already-introduced colors, so brand-new
-    picks never need a constraint check.
+    popcount(mask & cmask) <= limit for every (cmask, limit) constraint,
+    where limits are non-negative and t >= 1. Constraint masks only contain
+    already-introduced colors, so brand-new picks never need a check.
 
     Reachability pruning: every pick of a constrained color consumes at
     least one unit of the summed remaining constraint allowance, so the
-    picks still obtainable are at most (unconstrained colors ahead) +
-    min(summed allowance, constrained colors ahead) + (new colors left).
-    That over-estimate never drops a valid candidate but refutes a vertex
-    whose remaining palette cannot reach t in one step.
+    picks still obtainable from color c on are at most (unconstrained
+    colors in [c, used)) + min(summed allowance, constrained colors in
+    [c, used)) + (new colors left). That over-estimate never drops a valid
+    candidate but refutes a vertex whose remaining palette cannot reach t
+    in one step. Split at the min, the test becomes two upper ends on the
+    next old color c: c <= k - slots (enough colors left at all), and at
+    least slots - (new colors left) - allowance unconstrained colors in
+    [c, used).
+
+    The picks form a depth-first search, run on an explicit stack. One
+    node is one entry into it: the empty pick, each old-color pick that
+    passes its constraint check, and each pick in the run of brand-new
+    colors. ``meter`` counts nodes and enforces the budget; without one
+    the stream is uncounted and unlimited.
     """
-    ncon = len(constraints)
-    counts = [0] * ncon
-    cmasks = [c[0] for c in constraints]
-    limits = [c[1] for c in constraints]
-    all_mask = 0
-    for m in cmasks:
-        all_mask |= m
-    # free_suffix[c] = colors in [c, used) that appear in no constraint
-    free_suffix = [0] * (used + 1)
-    for c in range(used - 1, -1, -1):
-        free_suffix[c] = free_suffix[c + 1] + (0 if (all_mask >> c) & 1 else 1)
-    allowance = sum(limits)
-
-    def reachable(lo: int, new_next: int) -> int:
-        lo = min(lo, used)
-        free = free_suffix[lo]
-        bounded = (used - lo) - free
-        return free + min(allowance, bounded) + (k - new_next)
-
-    def rec(lo: int, new_next: int, picked: int, mask: int):
-        nonlocal allowance
-        if meter is not None:
-            meter.step()
-        if picked == t:
-            yield mask
-            return
-        slots = t - picked
-        if reachable(lo, new_next) < slots:
-            return
-        for c in range(lo, used):
-            if reachable(c, new_next) < slots:
+    if meter is None:
+        meter = _Meter()
+    full = (1 << used) - 1
+    # per old color: the open constraints (limit > 0) that one pick of it
+    # draws on; colors in a spent constraint are blocked
+    draws: list[tuple[int, ...]] = [()] * used
+    remaining: list[int] = []
+    cmasks: list[int] = []
+    constrained = blocked = allowance = 0
+    for cmask, limit in constraints:
+        constrained |= cmask
+        allowance += limit
+        if limit <= 0:
+            blocked |= cmask
+            continue
+        index = (len(remaining),)
+        remaining.append(limit)
+        cmasks.append(cmask)
+        bits = cmask & full
+        while bits:
+            low = bits & -bits
+            draws[low.bit_length() - 1] += index
+            bits ^= low
+    free = full & ~constrained
+    fresh = k - used  # brand-new colors still available
+    nodes = meter.nodes
+    stop = meter.limit
+    # one frame per pick depth: old colors left to try, mask so far,
+    # blocked colors on entry, and the color currently picked (-1: none)
+    cand_at = [0] * t
+    mask_at = [0] * t
+    blocked_at = [0] * t
+    color_at = [-1] * t
+    depth = lo = mask = 0
+    while True:
+        # enter a node: depth colors picked in mask, old colors >= lo left
+        nodes += 1
+        if nodes > stop:
+            stop = meter.overrun(nodes)
+        slots = t - depth
+        end = k - slots + 1
+        short = slots - fresh - allowance  # unconstrained colors still needed
+        if short > 0:
+            # old colors end after the short-th highest unconstrained one
+            top_free = free
+            while short > 1 and top_free:
+                top_free ^= 1 << (top_free.bit_length() - 1)
+                short -= 1
+            if top_free.bit_length() < end:
+                end = top_free.bit_length()
+        if lo < end:
+            top = end if end < used else used
+            cand = ((1 << top) - 1) >> lo << lo & ~blocked
+            if slots == 1:  # every old candidate completes the set
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    nodes += 1
+                    if nodes > stop:
+                        stop = meter.overrun(nodes)
+                    meter.nodes = nodes
+                    yield mask | low
+                    nodes = meter.nodes
+                    stop = meter.limit
+            cand_at[depth] = cand
+            mask_at[depth] = mask
+            blocked_at[depth] = blocked
+            color_at[depth] = -1
+        else:
+            depth -= 1
+        # backtrack to the next untried pick, or finish frames on the way up
+        while depth >= 0:
+            c = color_at[depth]
+            if c >= 0:
+                for i in draws[c]:
+                    remaining[i] += 1
+                allowance += len(draws[c])
+                blocked = blocked_at[depth]
+            cand = cand_at[depth]
+            if cand:
+                low = cand & -cand
+                cand_at[depth] = cand ^ low
+                c = low.bit_length() - 1
+                color_at[depth] = c
+                for i in draws[c]:
+                    remaining[i] -= 1
+                    if not remaining[i]:
+                        blocked |= cmasks[i]
+                allowance -= len(draws[c])
+                lo = c + 1
+                mask = mask_at[depth] | low
+                depth += 1
                 break
-            bit = 1 << c
-            ok = True
-            touched = []
-            for i in range(ncon):
-                if cmasks[i] & bit:
-                    if counts[i] + 1 > limits[i]:
-                        ok = False
-                        break
-                    touched.append(i)
-            if ok:
-                for i in touched:
-                    counts[i] += 1
-                allowance -= len(touched)
-                yield from rec(c + 1, new_next, picked + 1, mask | bit)
-                for i in touched:
-                    counts[i] -= 1
-                allowance += len(touched)
-        if new_next < k:
-            yield from rec(new_next + 1, new_next + 1, picked + 1, mask | (1 << new_next))
-
-    yield from rec(0, used, 0, 0)
+            # old colors done: the forced run of new colors used, used+1, ...
+            if fresh > 0:
+                slots = t - depth
+                if fresh >= slots:
+                    nodes += slots
+                    if nodes > stop:
+                        stop = meter.overrun(nodes)
+                    meter.nodes = nodes
+                    yield mask_at[depth] | ((1 << slots) - 1) << used
+                    nodes = meter.nodes
+                    stop = meter.limit
+                else:  # the run stops at its first pick
+                    nodes += 1
+                    if nodes > stop:
+                        stop = meter.overrun(nodes)
+            depth -= 1
+        else:
+            meter.nodes = nodes
+            return
 
 
 def _search(
-    order,
-    partners,
-    suffix_fresh,
+    prep,
     t: int,
     k: int,
     assign: list[int],
-    used: int,
-    pos: int,
-    meter: _Meter,
-) -> bool:
-    if pos == len(order):
-        return True
-    constraints = [(assign[j], limit) for j, limit in partners[pos]]
-    # colors introduced through this position must leave room for the
-    # fresh colors the remaining positions are guaranteed to need
-    k_eff = k - suffix_fresh[pos + 1]
-    for mask in _candidate_sets(k_eff, t, used, constraints, meter):
-        meter.step()
-        assign[pos] = mask
-        new_used = max(used, mask.bit_length())
-        if _search(order, partners, suffix_fresh, t, k, assign, new_used, pos + 1, meter):
-            return True
-    assign[pos] = 0
-    return False
+    start: int,
+    cap: Optional[int],
+    deadline: Optional[float],
+) -> tuple[str, int]:
+    """Extend the fixed prefix assign[:start] to a full assignment.
+
+    Depth-first over search positions with an explicit stack of lazy
+    candidate streams, one per position, so the search depth is bounded
+    by n and not by Python's recursion limit. Each placement is one node.
+    Returns (status, nodes); on FEASIBLE, ``assign`` holds the assignment.
+    """
+    order, partners, suffix_fresh = prep
+    n = len(order)
+    meter = _Meter(cap, deadline)
+    streams = [None] * n
+    used_at = [0] * (n + 1)
+    used_at[start] = max((mask.bit_length() for mask in assign[:start]), default=0)
+    pos = start
+    stream = None
+    try:
+        while pos < n:
+            if stream is None:
+                constraints = [(assign[j], limit) for j, limit in partners[pos]]
+                # colors introduced through this position must leave room for
+                # the fresh colors the remaining positions are guaranteed to need
+                k_eff = k - suffix_fresh[pos + 1]
+                stream = _candidate_sets(k_eff, t, used_at[pos], constraints, meter)
+                streams[pos] = stream
+            mask = next(stream, 0)
+            if not mask:
+                if pos == start:
+                    return INFEASIBLE, meter.nodes
+                pos -= 1
+                stream = streams[pos]
+                continue
+            nodes = meter.nodes + 1
+            meter.nodes = nodes
+            if nodes > meter.limit:
+                meter.overrun(nodes)
+            assign[pos] = mask
+            used = used_at[pos]
+            width = mask.bit_length()
+            pos += 1
+            used_at[pos] = width if width > used else used
+            stream = None
+    except _BudgetExhausted:
+        return TIMEOUT, meter.nodes
+    return FEASIBLE, meter.nodes
 
 
 def _witness_from(order, assign, t: int, k: int) -> ToneColoring:
@@ -283,22 +395,14 @@ def _chunk_worker(args):
     Top-level so it pickles for process pools; returns
     (status, assignment rows or None, nodes used).
     """
-    graph, t, k, pos1_mask, node_cap, max_millis = args
-    order, partners, suffix_fresh = _prepare(graph, t)
+    prep, t, k, pos1_mask, node_cap, deadline = args
+    order = prep[0]
     assign = [0] * len(order)
     assign[0] = (1 << t) - 1
     assign[1] = pos1_mask
-    used = max(t, pos1_mask.bit_length())
-    deadline = time.monotonic() + max_millis / 1000.0 if max_millis is not None else None
-    meter = _Meter(node_cap if node_cap is not None else float("inf"), deadline)
-    try:
-        found = _search(order, partners, suffix_fresh, t, k, assign, used, 2, meter)
-    except _BudgetExhausted:
-        return (TIMEOUT, None, meter.nodes)
-    if found:
-        wit = _witness_from(order, assign, t, k)
-        return (FEASIBLE, wit.assignment, meter.nodes)
-    return (INFEASIBLE, None, meter.nodes)
+    status, nodes = _search(prep, t, k, assign, 2, node_cap, deadline)
+    rows = _witness_from(order, assign, t, k).assignment if status == FEASIBLE else None
+    return status, rows, nodes
 
 
 def feasible(
@@ -320,27 +424,18 @@ def feasible(
         raise ValueError(f"k={k} < t={t}: each vertex needs t distinct colors")
     budget = budget or SearchBudget()
     start = time.monotonic()
+    deadline = start + budget.max_millis / 1000.0 if budget.max_millis is not None else None
     if graph.n == 0:
         return FeasibilityResult(FEASIBLE, ToneColoring(t, k, []), SearchStats())
     if workers > 1 and graph.n >= 2:
-        result = _feasible_parallel(graph, t, k, budget, workers)
+        result = _feasible_parallel(graph, t, k, budget.max_nodes, deadline, workers)
     else:
-        order, partners, suffix_fresh = _prepare(graph, t)
-        assign = [0] * len(order)
-        node_cap = budget.max_nodes if budget.max_nodes is not None else float("inf")
-        deadline = (
-            start + budget.max_millis / 1000.0 if budget.max_millis is not None else None
-        )
-        meter = _Meter(node_cap, deadline)
-        try:
-            found = _search(order, partners, suffix_fresh, t, k, assign, 0, 0, meter)
-        except _BudgetExhausted:
-            stats = SearchStats(nodes=meter.nodes, budget_exhausted=True)
-            result = FeasibilityResult(TIMEOUT, None, stats)
-        else:
-            witness = _witness_from(order, assign, t, k) if found else None
-            stats = SearchStats(nodes=meter.nodes)
-            result = FeasibilityResult(FEASIBLE if found else INFEASIBLE, witness, stats)
+        prep = _prepare(graph, t)
+        assign = [0] * graph.n
+        status, nodes = _search(prep, t, k, assign, 0, budget.max_nodes, deadline)
+        witness = _witness_from(prep[0], assign, t, k) if status == FEASIBLE else None
+        stats = SearchStats(nodes=nodes, budget_exhausted=status == TIMEOUT)
+        result = FeasibilityResult(status, witness, stats)
     result.stats.elapsed_ms = (time.monotonic() - start) * 1000.0
     if result.status == FEASIBLE:
         report = verify(graph, result.witness)
@@ -349,24 +444,24 @@ def feasible(
     return result
 
 
-def _feasible_parallel(graph, t, k, budget, workers) -> FeasibilityResult:
+def _feasible_parallel(graph, t, k, max_nodes, deadline, workers) -> FeasibilityResult:
     """Split the first free branching level across worker processes.
 
     One job per candidate set of the second search position; the merge
     scans results in candidate order, so the outcome and witness are
     reproducible for a fixed worker count. The jobs cover the whole
-    candidate list, preserving completeness.
+    candidate list, preserving completeness. The node cap is split evenly
+    between jobs; the wall-clock deadline is one absolute time for all.
     """
-    order, partners, suffix_fresh = _prepare(graph, t)
+    prep = _prepare(graph, t)
+    _, partners, suffix_fresh = prep
     root_mask = (1 << t) - 1
     constraints = [(root_mask, limit) for j, limit in partners[1] if j == 0]
     pos1 = list(_candidate_sets(k - suffix_fresh[2], t, t, constraints))
     if not pos1:
         return FeasibilityResult(INFEASIBLE, None, SearchStats(nodes=1))
-    per_node_cap = (
-        max(1, budget.max_nodes // len(pos1)) if budget.max_nodes is not None else None
-    )
-    jobs = [(graph, t, k, mask, per_node_cap, budget.max_millis) for mask in pos1]
+    per_node_cap = max(1, max_nodes // len(pos1)) if max_nodes is not None else None
+    jobs = [(prep, t, k, mask, per_node_cap, deadline) for mask in pos1]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         results = pool.map(_chunk_worker, jobs)

@@ -283,6 +283,17 @@ def test_experiment_ratio_at_least_one_across_seeds(capsys):
         assert row["ratio"] is not None and row["ratio"] >= 1.0
 
 
+def test_solve_deep_search_exits_cleanly():
+    # a path this long searches 1500 positions deep
+    proc = run_proc(
+        "solve", "--family", "path", "1500", "--t", "2", "--budget-nodes", "20000", "--json"
+    )
+    assert proc.returncode in (0, 3), proc.stderr[-500:]
+    payload = json.loads(proc.stdout)
+    assert payload["best_lower"] <= 5
+    assert payload["best_upper"] >= 5  # tau_2 of a long path is 5
+
+
 def test_thread_env_var_changes_nothing():
     import os
 

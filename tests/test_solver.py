@@ -4,7 +4,7 @@ import pytest
 
 from oracles import chromatic_number_reference, random_connected_graph, random_graph
 from tonelab.coloring import colors_used, verify
-from tonelab.graphs import Graph, build_complete, build_path, build_star
+from tonelab.graphs import Graph, build_complete, build_gnp, build_path, build_star
 from tonelab.solver import (
     EXACT,
     FEASIBLE,
@@ -266,3 +266,42 @@ def test_wall_clock_budget_times_out():
     res = feasible(g, 5, 17, SearchBudget(max_nodes=None, max_millis=0.001))
     assert res.status == TIMEOUT
     assert res.stats.budget_exhausted
+
+
+def test_deep_search_has_no_recursion_limit():
+    # 1500 search positions: far deeper than Python's default recursion limit
+    g = build_path(1500)
+    res = feasible(g, 2, 5, SearchBudget(max_nodes=20_000))
+    assert res.status == FEASIBLE
+    assert verify(g, res.witness).valid
+
+
+def test_exact_node_counts_are_pinned():
+    """Node counts fix the search tree: any change to the candidate order,
+    the pruning or the node definition moves at least one of them."""
+    s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    res = feasible(s3_plus_2, 5, 17)
+    assert res.status == INFEASIBLE
+    assert res.stats.nodes == 309_691
+    g = build_gnp(60, 0.05, 1)
+    res = feasible(g, 2, 7)
+    assert res.status == FEASIBLE
+    assert res.stats.nodes == 4_529
+    assert verify(g, res.witness).valid
+    out = tau_exact(g, 2, SearchBudget(max_nodes=100_000))
+    assert out.status == TIMEOUT
+    assert out.best_lower == 6
+    assert out.stats.nodes == 100_001  # the cap, plus the node that broke it
+
+
+def test_parallel_wall_clock_budget_is_shared_by_all_jobs():
+    # K_{1,4} beside S_3+2: the second search position is the first vertex
+    # of the other component, so it has 32 candidate sets and the pool gets
+    # 32 jobs, each of which is a refutation far longer than the budget
+    g = Graph(11, [(0, 1), (0, 2), (0, 3), (0, 4),
+                   (5, 6), (5, 7), (5, 8), (6, 9), (6, 10)])
+    budget_ms = 300.0
+    res = feasible(g, 5, 17, SearchBudget(max_nodes=None, max_millis=budget_ms), workers=2)
+    assert res.status == TIMEOUT
+    assert res.stats.budget_exhausted
+    assert res.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for the pool
