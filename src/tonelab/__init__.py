@@ -37,9 +37,7 @@ from .constructions import (
     two_tone_via_decomposition,
 )
 from .graphs import (
-    DistMatrix,
     Graph,
-    all_pairs_distances_capped,
     build_complete,
     build_complete_multipartite,
     build_gnp,
@@ -48,6 +46,7 @@ from .graphs import (
     build_truncated_regular_tree,
     cartesian_power,
     cartesian_product,
+    distance_ball,
     format_graph,
     load_graph,
     parse_graph,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Graph, all_pairs_distances_capped, is_connected
+from .graphs import Graph, distance_ball, is_connected
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,16 @@ def distance_deficiency(graph: Graph) -> tuple[int, int]:
     """(sum over unordered pairs of d(u,v)-1, diameter) for connected graphs."""
     if graph.n == 0:
         raise ValueError("empty graph")
-    dist = all_pairs_distances_capped(graph, cap=max(1, graph.n))
+    n = graph.n
     total = 0
     diameter = 0
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            d = dist.get(u, v)
-            if d >= dist.sentinel:
-                raise ValueError("graph is disconnected; diameter undefined")
-            total += d - 1
-            diameter = max(diameter, d)
-    return total, diameter
+    for u in range(n):
+        ball = distance_ball(graph, u, max(1, n))
+        if len(ball) < n:
+            raise ValueError("graph is disconnected; diameter undefined")
+        total += sum(ball.values()) - (n - 1)
+        diameter = max(diameter, max(ball.values()))
+    return total // 2, diameter  # each pair was counted from both ends
 
 
 def pairsum_bound(graph: Graph, t: int) -> BoundReport:

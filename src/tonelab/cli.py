@@ -375,6 +375,9 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+TABLES = ["tone3-stars", "tone4-stars", "prop73", "mols-square", "paths"]
+
+
 def _reproduce_rows(table: str) -> list[dict]:
     rows: list[dict] = []
 
@@ -452,10 +455,21 @@ def _reproduce_rows(table: str) -> list[dict]:
 
 
 def cmd_reproduce(args) -> int:
-    rows = _reproduce_rows(args.table)
+    """One table, or with --table all every table in order; worst exit code."""
+    tables = TABLES if args.table == "all" else [args.table]
+    worst = EXIT_OK
+    for table in tables:
+        if len(tables) > 1 and not args.json:
+            print(f"== {table}")
+        worst = max(worst, _reproduce_table(table, args.json))
+    return worst
+
+
+def _reproduce_table(table: str, as_json: bool) -> int:
+    rows = _reproduce_rows(table)
     ok = all(r["expected"] == r["computed"] for r in rows)
-    if args.json:
-        _emit({"table": args.table, "rows": rows, "pass": ok}, True)
+    if as_json:
+        _emit({"table": table, "rows": rows, "pass": ok}, True)
     else:
         width = max(len(r["case"]) for r in rows)
         for r in rows:
@@ -599,11 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("reproduce", help="recompute a known small-case table and diff it")
-    p.add_argument(
-        "--table",
-        required=True,
-        choices=["tone3-stars", "tone4-stars", "prop73", "mols-square", "paths"],
-    )
+    p.add_argument("--table", required=True, choices=[*TABLES, "all"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reproduce)
 

@@ -2,8 +2,9 @@
 
 A t-tone coloring assigns every vertex a set of t distinct colors; a pair
 of vertices at distance d may share at most d-1 colors. The constraint is
-vacuous beyond distance t (sets have size t), so the verifier only ever
-needs distances capped at t. Disconnected pairs are unconstrained.
+vacuous beyond distance t (sets have size t), so the verifier only walks
+the distance-t ball of each vertex; its memory grows with one ball, not
+with n^2. Disconnected pairs are unconstrained.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
-from .graphs import Graph, all_pairs_distances_capped
+from .graphs import Graph, distance_ball
 
 
 @dataclass(eq=False)
@@ -94,17 +93,15 @@ def verify(graph: Graph, coloring: ToneColoring) -> VerificationReport:
     t = coloring.t
     masks = coloring.masks
     violations = []
-    if graph.n > 1:
-        dist = all_pairs_distances_capped(graph, cap=t)
-        values = dist.values
-        # np.argwhere walks the upper triangle in row-major order, so the
-        # violation list comes out sorted by (u, v) with no explicit sort.
-        close = np.argwhere(np.triu(values <= t, k=1))
-        for u, v in close:
-            d = int(values[u, v])
-            shared = (masks[u] & masks[v]).bit_count()
-            if shared >= d:
-                violations.append((int(u), int(v), d, shared))
+    for u in range(graph.n):
+        mu = masks[u]
+        row = []
+        for v, d in distance_ball(graph, u, t).items():
+            if v > u:
+                shared = (mu & masks[v]).bit_count()
+                if shared >= d:
+                    row.append((u, v, d, shared))
+        violations.extend(sorted(row))  # ball order is discovery order
     return VerificationReport(
         valid=not violations,
         violations=tuple(violations),

@@ -19,12 +19,12 @@ from . import bounds
 from .coloring import ToneColoring, verify
 from .graphs import (
     Graph,
-    all_pairs_distances_capped,
     build_complete,
     build_complete_multipartite,
     build_star,
     build_truncated_regular_tree,
     cartesian_power,
+    distance_ball,
     is_connected,
 )
 from .mols import MolsFamily
@@ -59,14 +59,14 @@ def greedy_large_t_coloring(graph: Graph, t: int) -> ToneColoring:
         raise ValueError(
             f"hypothesis fails: t={t} but the construction requires t >= {threshold}"
         )
-    dist = all_pairs_distances_capped(graph, cap=max(1, graph.n))
     unique_of: list[list[int]] = []
     rows: list[list[int]] = []
     next_fresh = 0
     for v in range(graph.n):
+        ball = distance_ball(graph, v, max(1, graph.n))
         reused: list[int] = []
         for w in range(v):
-            need = dist.get(v, w) - 1
+            need = ball[w] - 1
             if need > 0:
                 if len(unique_of[w]) < need:
                     raise AssertionError("ran out of private colors")
@@ -128,18 +128,24 @@ def two_tone_via_decomposition(
         raise ValueError("empty graph")
     proper = greedy_proper_coloring(graph)
     khat = max(proper) + 1
-    classes = [[v for v in range(graph.n) if proper[v] == i] for i in range(khat)]
-    dist = all_pairs_distances_capped(graph, cap=2)
+    classes: list[list[int]] = [[] for _ in range(khat)]
+    local = [0] * graph.n  # index of each vertex inside its class
+    for v in range(graph.n):
+        local[v] = len(classes[proper[v]])
+        classes[proper[v]].append(v)
+    # same-class vertices are never adjacent, so a same-class member of
+    # a distance-2 ball other than v itself sits at distance exactly 2
+    class_edges: list[list[tuple[int, int]]] = [[] for _ in range(khat)]
+    for v in range(graph.n):
+        i = proper[v]
+        for w in distance_ball(graph, v, 2):
+            if w > v and proper[w] == i:
+                class_edges[i].append((local[v], local[w]))
     rows: list[Optional[list[int]]] = [None] * graph.n
     pair_classes = []
     palette_sizes = []
     base = 0
-    for members in classes:
-        sub_edges = [
-            (a, b)
-            for a, b in combinations(range(len(members)), 2)
-            if dist.get(members[a], members[b]) == 2
-        ]
+    for members, sub_edges in zip(classes, class_edges):
         sub = Graph(len(members), sub_edges)
         sub_color = greedy_proper_coloring(sub)
         m_i = max(sub_color) + 1
@@ -241,20 +247,12 @@ def greedy_heuristic_coloring(
     position = {v: i for i, v in enumerate(order)}
     masks: list[Optional[int]] = [None] * graph.n
     for v in order:
-        constraints = []
-        # Local BFS to depth t; only earlier-positioned vertices constrain.
-        depth = {v: 0}
-        frontier = [v]
-        for d in range(1, t + 1):
-            nxt = []
-            for u in frontier:
-                for w in graph.adjacency[u]:
-                    if w not in depth:
-                        depth[w] = d
-                        nxt.append(w)
-                        if position[w] < position[v]:
-                            constraints.append((masks[w], d - 1))
-            frontier = nxt
+        # only earlier-positioned vertices within distance t constrain
+        constraints = [
+            (masks[w], d - 1)
+            for w, d in distance_ball(graph, v, t).items()
+            if position[w] < position[v]
+        ]
         # used=cap disables the introduce-in-order rule: plain lex search.
         mask = next(_candidate_sets(palette_cap, t, palette_cap, constraints), None)
         if mask is None:

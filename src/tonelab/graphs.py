@@ -1,17 +1,22 @@
-"""Finite simple graphs: named families, Cartesian products, capped distances.
+"""Finite simple graphs: named families, Cartesian products, distance balls.
 
 Vertices are dense integers 0..n-1. Each family builder documents its
 canonical numbering so that witnesses and certificates are reproducible:
 paths in path order, star head at 0, multipartite parts contiguous,
 products in row-major coordinate order, trees in BFS level order.
 
-Graph and DistMatrix are immutable after construction and safe to share.
+Distances come from one primitive, distance_ball: a breadth-first search
+from one vertex cut at a depth cap. A t-tone constraint is vacuous past
+distance t, so every consumer walks the distance-t ball of each vertex
+and nothing ever holds all n^2 distances at once.
+
+Graph is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -94,49 +99,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DistMatrix:
-    """All-pairs distances truncated at ``cap``.
+def distance_ball(graph: Graph, src: int, cap: int) -> dict[int, int]:
+    """Distances from ``src`` to every vertex within ``cap`` of it.
 
-    Entries are in {0..cap} or ``sentinel`` = cap+1, which stands for any
-    distance greater than cap, including disconnected pairs. A reserved
-    value rather than an optional keeps comparisons branch-free in the
-    solver hot loop.
+    One breadth-first search cut at depth ``cap``. Keys come in discovery
+    order (level by level, neighbors ascending), starting with ``src`` at
+    distance 0; vertices farther than ``cap``, or in another component,
+    are absent. Memory is the size of the ball, never n squared.
     """
-
-    cap: int
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def sentinel(self) -> int:
-        return self.cap + 1
-
-    def get(self, u: int, v: int) -> int:
-        return int(self.values[u, v])
-
-
-def all_pairs_distances_capped(graph: Graph, cap: int) -> DistMatrix:
-    """BFS from every vertex, truncated at depth ``cap``."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    n = graph.n
-    sentinel = cap + 1
-    d = np.full((n, n), sentinel, dtype=np.int32)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     adj = graph.adjacency
-    for src in range(n):
-        d[src, src] = 0
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            du = d[src, u]
-            if du >= cap:
-                continue
+    ball = {src: 0}
+    frontier = [src]
+    for d in range(1, cap + 1):
+        nxt = []
+        for u in frontier:
             for w in adj[u]:
-                if d[src, w] == sentinel:
-                    d[src, w] = du + 1
-                    frontier.append(w)
-    d.setflags(write=False)
-    return DistMatrix(cap=cap, values=d)
+                if w not in ball:
+                    ball[w] = d
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return ball
 
 
 def connected_components(graph: Graph) -> list[list[int]]:

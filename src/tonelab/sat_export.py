@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, all_pairs_distances_capped
+from .graphs import Graph, distance_ball
 
 
 def encode_decision_cnf(graph: Graph, t: int, k: int) -> str:
@@ -37,12 +37,10 @@ def encode_decision_cnf(graph: Graph, t: int, k: int) -> str:
         # at most t colors: no t+1 variables all true
         for subset in combinations(range(k), t + 1):
             clauses.append(tuple(-var(v, c) for c in subset))
-    dist = all_pairs_distances_capped(graph, cap=t)
     for u in range(n):
-        for v in range(u + 1, n):
-            d = dist.get(u, v)
-            if d > t:
-                continue
+        ball = distance_ball(graph, u, t)
+        for v in sorted(w for w in ball if w > u):
+            d = ball[v]
             for subset in combinations(range(k), d):
                 clause = []
                 for c in subset:

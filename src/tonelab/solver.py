@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import bounds
 from .coloring import ToneColoring, verify
-from .graphs import Graph, all_pairs_distances_capped, connected_components
+from .graphs import Graph, connected_components, distance_ball
 
 DEFAULT_BUDGET_NODES = 50_000_000
 
@@ -122,23 +122,27 @@ def _prepare(
     """Search order, per-position constraint lists, and fresh-color floor.
 
     partners[i] holds (earlier position, allowed shared count) for every
-    earlier vertex within distance t. suffix_fresh[i] is a lower bound on
-    the number of brand-new colors positions i.. must introduce: when all
-    earlier vertices constrain position j, its old picks are capped by the
-    summed allowances, so it needs at least t - sum(d-1) fresh colors
-    (the pair-counting argument behind the pairsum lower bound). Placing
-    more colors than k - suffix_fresh[i+1] admits is therefore a dead end.
+    earlier vertex within distance t, read off the distance-t ball of the
+    vertex at position i and sorted by position. suffix_fresh[i] is a
+    lower bound on the number of brand-new colors positions i.. must
+    introduce: when all earlier vertices constrain position j, its old
+    picks are capped by the summed allowances, so it needs at least
+    t - sum(d-1) fresh colors (the pair-counting argument behind the
+    pairsum lower bound). Placing more colors than k - suffix_fresh[i+1]
+    admits is therefore a dead end.
     """
     order = search_order(graph)
-    dist = all_pairs_distances_capped(graph, cap=t) if graph.n else None
+    position = [0] * graph.n
+    for i, v in enumerate(order):
+        position[v] = i
     partners: list[list[tuple[int, int]]] = []
     fresh_min: list[int] = []
     for i, v in enumerate(order):
-        plist = []
-        for j in range(i):
-            d = dist.get(v, order[j])
-            if d <= t:
-                plist.append((j, d - 1))
+        plist = sorted(
+            (position[w], d - 1)
+            for w, d in distance_ball(graph, v, t).items()
+            if position[w] < i
+        )
         partners.append(plist)
         if len(plist) == i:  # every earlier vertex constrains this one
             fresh_min.append(max(0, t - sum(lim for _, lim in plist)))
@@ -494,11 +498,23 @@ def greedy_clique_size(graph: Graph) -> int:
 
 def starting_lower_bound(graph: Graph, t: int) -> int:
     """max of the closed-form lower bounds: degree, per-component pairsum,
-    and t times a greedy clique size."""
+    and t times a greedy clique size.
+
+    A component's pairsum bound is computed only when it can win. Every
+    non-adjacent pair in a connected component has d - 1 >= 1, so its
+    pairsum value is at most t*n_c - (C(n_c, 2) - m_c); when that estimate
+    is no better than the best bound so far the component is skipped
+    without building its induced subgraph.
+    """
     best = t if graph.n else 0
     if graph.n and graph.max_degree >= 1 and t >= 2:
         best = max(best, bounds.degree_lower_bound(graph.max_degree, t))
+    degrees = graph.degrees
     for comp in connected_components(graph):
+        n_c = len(comp)
+        m_c = sum(degrees[v] for v in comp) // 2
+        if t * n_c - (n_c * (n_c - 1) // 2 - m_c) <= best:
+            continue
         sub = graph.induced_subgraph(comp)
         best = max(best, bounds.pairsum_bound(sub, t).value)
     best = max(best, t * greedy_clique_size(graph))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from itertools import product
@@ -15,11 +16,19 @@ def run_main(*argv):
     return cli.main(list(argv))
 
 
+def child_env(**extra):
+    """Environment in which a child process imports this same tonelab."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_proc(*argv):
     return subprocess.run(
         [sys.executable, "-m", "tonelab.cli", *argv],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -266,9 +275,29 @@ def test_construct_every_method_round_trips(tmp_path):
         assert proc.returncode == 0, (extra, proc.stdout, proc.stderr)
 
 
-def test_reproduce_tables_pass():
-    for table in ("tone3-stars", "tone4-stars", "prop73", "mols-square", "paths"):
-        assert run_main("reproduce", "--table", table) == 0
+def test_reproduce_tables_pass(capsys):
+    # --table all --json prints one line per table, in order, each the
+    # same bytes as that table's own run
+    assert run_main("reproduce", "--table", "all", "--json") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["table"] for line in lines] == cli.TABLES
+    for table, line in zip(cli.TABLES, lines):
+        assert run_main("reproduce", "--table", table, "--json") == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
+def test_reproduce_all_runs_every_table_and_exits_worst(capsys, monkeypatch):
+    def fake_rows(table):
+        computed = 0 if table == "prop73" else 1
+        return [{"case": table, "expected": 1, "computed": computed}]
+
+    monkeypatch.setattr(cli, "_reproduce_rows", fake_rows)
+    assert run_main("reproduce", "--table", "all") == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("==")] == [
+        f"== {table}" for table in cli.TABLES
+    ]
+    assert out.count("FAIL") == 1 and out.count("PASS") == 4
 
 
 def test_experiment_ratio_at_least_one_across_seeds(capsys):
@@ -295,9 +324,7 @@ def test_solve_deep_search_exits_cleanly():
 
 
 def test_thread_env_var_changes_nothing():
-    import os
-
-    env = dict(os.environ, TONELAB_THREADS="2")
+    env = child_env(TONELAB_THREADS="2")
     par = subprocess.run(
         [sys.executable, "-m", "tonelab.cli", "solve", "--family", "star", "3",
          "--t", "3", "--json"],

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import random_tree
+from oracles import floyd_warshall, random_tree
 from tonelab.bounds import degree_lower_bound, distance_deficiency, tree2tone_formula
 from tonelab.coloring import colors_used, verify
 from tonelab.constructions import (
@@ -264,10 +264,8 @@ def test_schemes_generalize_to_depth_four():
 
 def four_tone_conditions(graph, col):
     """The structural promises of the 4-tone schemes, checked verbatim."""
-    from tonelab.graphs import all_pairs_distances_capped
-
     sets = [set(row) for row in col.assignment]
-    dist = all_pairs_distances_capped(graph, cap=4)
+    dist = floyd_warshall(graph)
     # (a) adjacent vertices share no colors
     for u, v in graph.edges:
         if sets[u] & sets[v]:
@@ -286,7 +284,7 @@ def four_tone_conditions(graph, col):
     # (d) distance-4 pairs have distinct sets
     for u in range(graph.n):
         for v in range(u + 1, graph.n):
-            d = dist.get(u, v)
+            d = dist[u, v]
             if d == 3:
                 shared = len(sets[u] & sets[v])
                 if col.palette_size == 13 and shared != 2:
@@ -308,14 +306,12 @@ def test_four_tone_scheme_conditions():
 
 def test_three_tone_schemes_distance2_share():
     # the inductive invariant: distance-2 pairs always share a color
-    from tonelab.graphs import all_pairs_distances_capped
-
     for name in ("T4_3tone", "T7_3tone_fano"):
         graph = scheme_tree(name, 3)
         col = tree_scheme_coloring(name, 3)
         sets = [set(row) for row in col.assignment]
-        dist = all_pairs_distances_capped(graph, cap=2)
+        dist = floyd_warshall(graph)
         for u in range(graph.n):
             for v in range(u + 1, graph.n):
-                if dist.get(u, v) == 2:
+                if dist[u, v] == 2:
                     assert len(sets[u] & sets[v]) == 1

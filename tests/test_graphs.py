@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import floyd_warshall, random_graph
+from tonelab.coloring import verify
+from tonelab.constructions import two_tone_via_decomposition
 from tonelab.graphs import (
     Graph,
-    all_pairs_distances_capped,
     build_complete,
     build_complete_multipartite,
     build_gnp,
@@ -17,10 +19,25 @@ from tonelab.graphs import (
     cartesian_power,
     cartesian_product,
     connected_components,
+    distance_ball,
     format_graph,
     is_connected,
     parse_graph,
 )
+from tonelab.solver import TIMEOUT, SearchBudget, feasible
+
+
+def assert_balls_match_oracle(graph, cap):
+    """Every vertex's distance_ball equals the one read off Floyd-Warshall."""
+    ref = floyd_warshall(graph)
+    for u in range(graph.n):
+        ball = distance_ball(graph, u, cap)
+        assert ball == {
+            v: int(ref[u, v])
+            for v in range(graph.n)
+            if np.isfinite(ref[u, v]) and ref[u, v] <= cap
+        }
+        assert next(iter(ball)) == u  # discovery order starts at the source
 
 
 def test_graph_validation():
@@ -39,8 +56,8 @@ def test_build_path():
     assert p3.edges == frozenset({(0, 1), (1, 2)})
     # S_2 is the 3-vertex path, up to the differing canonical numberings
     assert sorted(build_star(2).degrees) == sorted(p3.degrees)
-    d = all_pairs_distances_capped(build_path(5), cap=4)
-    assert d.get(0, 4) == 4
+    assert distance_ball(build_path(5), 0, 4)[4] == 4
+    assert_balls_match_oracle(build_path(5), 4)
     with pytest.raises(ValueError):
         build_path(0)
 
@@ -52,8 +69,10 @@ def test_build_star():
     assert s3.degrees == (3, 1, 1, 1)
     s7 = build_star(7)
     assert s7.n == 8
-    d = all_pairs_distances_capped(s7, cap=2)
-    assert all(d.get(u, v) == 2 for u in range(1, 8) for v in range(u + 1, 8))
+    assert all(
+        distance_ball(s7, u, 2)[v] == 2 for u in range(1, 8) for v in range(u + 1, 8)
+    )
+    assert_balls_match_oracle(s7, 2)
     with pytest.raises(ValueError):
         build_star(0)
 
@@ -63,12 +82,12 @@ def test_build_complete_multipartite():
     assert k3.edges == build_complete(3).edges
     empty3 = build_complete_multipartite([3])
     assert empty3.m == 0
-    d = all_pairs_distances_capped(empty3, cap=2)
-    assert d.get(0, 1) == d.sentinel
+    assert distance_ball(empty3, 0, 2) == {0: 0}
+    assert_balls_match_oracle(empty3, 2)
     g = build_complete_multipartite([2, 3])
     assert g.n == 5 and g.m == 6
-    d = all_pairs_distances_capped(g, cap=2)
-    assert d.get(0, 1) == 2 and d.get(2, 3) == 2
+    assert distance_ball(g, 0, 2)[1] == 2 and distance_ball(g, 2, 2)[3] == 2
+    assert_balls_match_oracle(g, 2)
     with pytest.raises(ValueError):
         build_complete_multipartite([])
     with pytest.raises(ValueError):
@@ -91,13 +110,14 @@ def test_cartesian_products():
 def test_clique_power_distance_is_hamming():
     n, b = 4, 2
     g = cartesian_power(build_complete(n), b)
-    d = all_pairs_distances_capped(g, cap=b)
     for u in range(g.n):
         cu = (u // n, u % n)
+        ball = distance_ball(g, u, b)
         for v in range(u + 1, g.n):
             cv = (v // n, v % n)
             hamming = sum(a != b_ for a, b_ in zip(cu, cv))
-            assert d.get(u, v) == hamming
+            assert ball[v] == hamming
+    assert_balls_match_oracle(g, b)
 
 
 @given(st.integers(2, 4), st.integers(1, 3))
@@ -160,12 +180,16 @@ def test_gnp_edge_count_within_four_sigma():
 
 def test_distances_capped_basics():
     p5 = build_path(5)
-    d = all_pairs_distances_capped(p5, cap=3)
-    assert d.get(0, 4) == d.sentinel == 4
-    assert d.get(0, 3) == 3
+    assert distance_ball(p5, 0, 3) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert distance_ball(p5, 2, 1) == {2: 0, 1: 1, 3: 1}
+    assert distance_ball(p5, 2, 0) == {2: 0}
     two = Graph(4, [(0, 1), (2, 3)])
-    d = all_pairs_distances_capped(two, cap=3)
-    assert d.get(0, 2) == d.sentinel
+    assert distance_ball(two, 0, 3) == {0: 0, 1: 1}
+    for cap in range(5):
+        assert_balls_match_oracle(p5, cap)
+        assert_balls_match_oracle(two, cap)
+    with pytest.raises(ValueError):
+        distance_ball(p5, 0, -1)
 
 
 def test_distances_match_floyd_warshall_oracle():
@@ -174,25 +198,24 @@ def test_distances_match_floyd_warshall_oracle():
         n = rng.randrange(2, 25)
         g = random_graph(rng, n, rng.uniform(0.05, 0.5))
         cap = rng.randrange(1, n + 1)
-        d = all_pairs_distances_capped(g, cap)
-        ref = floyd_warshall(g)
-        assert np.array_equal(d.values, d.values.T)
-        assert all(d.get(v, v) == 0 for v in range(n))
-        for u in range(n):
-            for v in range(n):
-                if np.isfinite(ref[u, v]) and ref[u, v] <= cap:
-                    assert d.get(u, v) == int(ref[u, v])
-                else:
-                    assert d.get(u, v) == d.sentinel
+        assert_balls_match_oracle(g, cap)
     # a couple of larger instances up to n=64
     for n in (48, 64):
         g = random_graph(rng, n, 0.08)
-        d = all_pairs_distances_capped(g, cap=n)
-        ref = floyd_warshall(g)
+        assert_balls_match_oracle(g, n)
+
+
+def test_distance_ball_is_symmetric():
+    # v is in ball(u) iff u is in ball(v), at the same distance
+    rng = random.Random(11)
+    for trial in range(50):
+        n = rng.randrange(2, 30)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.4))
+        cap = rng.randrange(0, n + 1)
+        balls = [distance_ball(g, u, cap) for u in range(n)]
         for u in range(n):
             for v in range(n):
-                expect = int(ref[u, v]) if np.isfinite(ref[u, v]) else d.sentinel
-                assert d.get(u, v) == min(expect, d.sentinel)
+                assert balls[u].get(v) == balls[v].get(u)
 
 
 def test_edge_deletion_never_shrinks_distances():
@@ -204,9 +227,28 @@ def test_edge_deletion_never_shrinks_distances():
             continue
         drop = sorted(g.edges)[rng.randrange(g.m)]
         h = Graph(n, g.edges - {drop})
-        dg = all_pairs_distances_capped(g, cap=n)
-        dh = all_pairs_distances_capped(h, cap=n)
-        assert (dh.values >= dg.values).all()
+        for u in range(n):
+            bg = distance_ball(g, u, n)
+            bh = distance_ball(h, u, n)
+            # a vertex missing from a ball is farther than the cap
+            assert bh.keys() <= bg.keys()
+            assert all(bh[v] >= bg[v] for v in bh)
+
+
+def test_distance_consumers_allocate_no_dense_matrix():
+    # an n x n int32 distance matrix of this path alone would take 256 MB
+    path = build_path(8000)
+    path.degrees  # the graph's own storage is not under test
+    tracemalloc.start()
+    try:
+        coloring, _ = two_tone_via_decomposition(path)
+        assert verify(path, coloring).valid
+        result = feasible(path, 2, 5, SearchBudget(max_nodes=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == TIMEOUT
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_connected_components():

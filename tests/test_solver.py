@@ -3,8 +3,17 @@ import random
 import pytest
 
 from oracles import chromatic_number_reference, random_connected_graph, random_graph
+from tonelab import bounds
 from tonelab.coloring import colors_used, verify
-from tonelab.graphs import Graph, build_complete, build_gnp, build_path, build_star
+from tonelab.graphs import (
+    Graph,
+    build_complete,
+    build_gnp,
+    build_path,
+    build_star,
+    connected_components,
+    is_connected,
+)
 from tonelab.solver import (
     EXACT,
     FEASIBLE,
@@ -14,6 +23,7 @@ from tonelab.solver import (
     SearchBudget,
     brute_force_tau,
     feasible,
+    greedy_clique_size,
     search_order,
     starting_lower_bound,
     tau_exact,
@@ -145,6 +155,62 @@ def test_lower_only_with_k_max():
 def test_starting_lower_bound_components():
     g = Graph(5, [(0, 1), (2, 3), (3, 4)])  # K_2 + P_3
     assert starting_lower_bound(g, 2) >= 4  # pairsum on K_2 component: 2*2
+
+
+def unskipped_lower_bound(graph, t):
+    """starting_lower_bound's max with every component's pairsum computed."""
+    candidates = [t]
+    if graph.max_degree >= 1 and t >= 2:
+        candidates.append(bounds.degree_lower_bound(graph.max_degree, t))
+    for comp in connected_components(graph):
+        candidates.append(bounds.pairsum_bound(graph.induced_subgraph(comp), t).value)
+    candidates.append(t * greedy_clique_size(graph))
+    return max(candidates)
+
+
+def test_pairsum_skip_is_sound():
+    rng = random.Random(2024)
+    kinds = {True: 0, False: 0}
+    for trial in range(300):
+        n = rng.randrange(1, 14)
+        if trial % 3:
+            g = random_graph(rng, n, rng.uniform(0.03, 0.9))
+        else:
+            g = random_connected_graph(rng, n, rng.uniform(0.0, 0.5))
+        t = rng.randrange(1, 8)
+        kinds[is_connected(g)] += 1
+        assert starting_lower_bound(g, t) == unskipped_lower_bound(g, t), (g.edges, t)
+    assert min(kinds.values()) >= 50
+    # where pairsum wins, it must still be computed: stars at t >= k
+    # (prop73's tau_5(S_3) = 17 starts from pairsum) and paths at large t
+    for graph, t in [(build_star(3), 5), (build_star(4), 4), (build_star(5), 7),
+                     (build_path(4), 4), (build_path(6), 9), (build_path(5), 6)]:
+        pairsum = bounds.pairsum_bound(graph, t).value
+        assert pairsum > bounds.degree_lower_bound(graph.max_degree, t)
+        assert pairsum > t * greedy_clique_size(graph)
+        assert starting_lower_bound(graph, t) == pairsum == unskipped_lower_bound(graph, t)
+    assert starting_lower_bound(build_star(3), 5) == 17
+
+
+def test_pairsum_skip_builds_nothing_when_it_cannot_win(monkeypatch):
+    sparse = build_gnp(2000, 2 / 2000, seed=1)
+    star = build_star(3)
+    expect = unskipped_lower_bound(sparse, 2), unskipped_lower_bound(star, 5)
+    bound = bounds.pairsum_bound
+    calls = []
+
+    def counting(graph, t):
+        calls.append(graph.n)
+        return bound(graph, t)
+
+    monkeypatch.setattr(bounds, "pairsum_bound", counting)
+    monkeypatch.setattr(Graph, "induced_subgraph", lambda *a: pytest.fail("built a subgraph"))
+    assert starting_lower_bound(sparse, 2) == expect[0]
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds, "pairsum_bound", counting)
+    assert starting_lower_bound(star, 5) == expect[1] == 17
+    assert calls == [4]
 
 
 def test_brute_force_examples():
