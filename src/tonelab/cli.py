@@ -482,9 +482,7 @@ def _reproduce_table(table: str, as_json: bool) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_experiment(args) -> int:
-    n, c, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
-    t = args.t
+def _experiment_row(n: int, c: float, seed: int, t: int) -> dict:
     graph = build_gnp(n, c / n, seed)
     delta = graph.max_degree
     lower = (
@@ -506,7 +504,7 @@ def cmd_experiment(args) -> int:
         if delta >= 1 and t >= 2
         else None
     )
-    row = {
+    return {
         "n": n,
         "c": c,
         "seed": seed,
@@ -519,11 +517,32 @@ def cmd_experiment(args) -> int:
         "upper": upper,
         "ratio": ratio,
     }
-    if args.json:
-        _emit(row, True)
-    else:
-        for key, value in row.items():
-            print(f"{key}: {value}")
+
+
+def cmd_experiment(args) -> int:
+    try:
+        n, c, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
+    except ValueError as exc:
+        raise UsageError(f"bad --gnp arguments: {exc}") from exc
+    if n < 1:
+        raise UsageError("--gnp N must be >= 1")
+    if not 0 <= c <= n:
+        raise UsageError("--gnp C must lie in [0, N]")
+    if seed < 0:
+        raise UsageError("--gnp SEED must be >= 0")
+    if args.t < 1:
+        raise UsageError("--t must be >= 1")
+    if args.seeds < 1:
+        raise UsageError("--seeds must be >= 1")
+    for k in range(args.seeds):
+        row = _experiment_row(n, c, seed + k, args.t)
+        if args.json:
+            _emit(row, True)
+        else:
+            if k:
+                print()
+            for key, value in row.items():
+                print(f"{key}: {value}")
     return EXIT_OK
 
 
@@ -620,6 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="sparse random graph bound sandwich")
     p.add_argument("--gnp", nargs=3, required=True, metavar=("N", "C", "SEED"))
     p.add_argument("--t", type=int, default=2)
+    p.add_argument(
+        "--seeds", type=int, default=1, metavar="K", help="one row per seed SEED..SEED+K-1"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_experiment)
 

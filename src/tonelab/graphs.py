@@ -105,7 +105,9 @@ def distance_ball(graph: Graph, src: int, cap: int) -> dict[int, int]:
     One breadth-first search cut at depth ``cap``. Keys come in discovery
     order (level by level, neighbors ascending), starting with ``src`` at
     distance 0; vertices farther than ``cap``, or in another component,
-    are absent. Memory is the size of the ball, never n squared.
+    are absent. Memory is the size of the ball, never n squared. The
+    search stops as soon as the ball holds every vertex, since no further
+    level could add a key.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -119,7 +121,7 @@ def distance_ball(graph: Graph, src: int, cap: int) -> dict[int, int]:
                 if w not in ball:
                     ball[w] = d
                     nxt.append(w)
-        if not nxt:
+        if not nxt or len(ball) == graph.n:
             break
         frontier = nxt
     return ball

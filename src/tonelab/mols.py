@@ -1,13 +1,17 @@
 """Latin squares: validation, orthogonality, prime families, Kronecker products.
 
 A family is never trusted from its construction algebra: every constructor
-runs the full pairwise orthogonality scan before returning.
+runs the full pairwise orthogonality scan before returning. The scan codes
+each ordered cell pair of two squares as one integer and counts the codes
+with one numpy bincount per pair of squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,18 +46,32 @@ def is_latin(square: LatinSquare) -> bool:
     return True
 
 
+def _has_repeat(codes: np.ndarray, space: int) -> bool:
+    """Whether the integer ``codes``, each in 0..space-1, repeat a value."""
+    if space > codes.size:
+        # sparse codes: rank them so the count below stays codes.size long
+        codes = np.unique(codes, return_inverse=True)[1]
+    return bool(np.bincount(codes).max(initial=0) > 1)
+
+
+def _ranks(square: LatinSquare) -> tuple[np.ndarray, int]:
+    """The entries, flattened row-major, as dense ranks 0..k-1; and k.
+
+    Ranking sorts the Python ints themselves, so it is exact for any
+    integer entries, also in squares built without the range check.
+    """
+    values, ranks = np.unique(
+        np.array(square.cells, dtype=object).ravel(), return_inverse=True
+    )
+    return ranks, len(values)
+
+
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     """True iff the n^2 ordered entry pairs (a_ij, b_ij) are all distinct."""
     if a.n != b.n:
         raise ValueError("orders differ")
-    seen = set()
-    for i in range(a.n):
-        for j in range(a.n):
-            pair = (a.cells[i][j], b.cells[i][j])
-            if pair in seen:
-                return False
-            seen.add(pair)
-    return True
+    (ra, ka), (rb, kb) = _ranks(a), _ranks(b)
+    return not _has_repeat(ra * kb + rb, ka * kb)
 
 
 @dataclass(frozen=True)
@@ -77,9 +95,13 @@ class MolsFamily:
         for s in squares:
             if not is_latin(s):
                 raise ValueError("family contains a non-Latin square")
+        # Latin entries lie in 0..n-1, so a*n + b codes the cell pair (a, b)
+        cells = np.array([s.cells for s in squares], dtype=np.intp)
+        cells = cells.reshape(len(squares), n * n)
         for i in range(len(squares)):
+            scaled = cells[i] * n
             for j in range(i + 1, len(squares)):
-                if not are_orthogonal(squares[i], squares[j]):
+                if _has_repeat(scaled + cells[j], n * n):
                     raise ValueError(f"squares {i} and {j} are not orthogonal")
         return MolsFamily(n, squares, verified=True)
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch against the
 definitions, sharing no machinery with the implementation under test:
-Floyd-Warshall distances, a naive pair-scan verifier on sorted lists, an
-exact chromatic number by plain backtracking, and an isomorphism-class
-enumerator for small connected graphs.
+orthogonality of two squares as a set of cell pairs, Floyd-Warshall
+distances, a naive pair-scan verifier on sorted lists, an exact chromatic
+number by plain backtracking, and an isomorphism-class enumerator for
+small connected graphs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ from itertools import combinations, permutations
 import numpy as np
 
 from tonelab.graphs import Graph
+
+
+def orthogonal(a_cells, b_cells) -> bool:
+    """The n^2 ordered cell pairs of two n x n arrays are all distinct."""
+    pairs = [
+        (x, y) for row_a, row_b in zip(a_cells, b_cells) for x, y in zip(row_a, row_b)
+    ]
+    return len(set(pairs)) == len(pairs)
 
 
 def floyd_warshall(graph: Graph) -> np.ndarray:

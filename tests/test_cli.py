@@ -348,6 +348,30 @@ def test_experiment_deterministic_and_sane():
     assert row["ratio"] >= 1.0
 
 
+def test_experiment_malformed_input_exits_2():
+    for argv in (
+        ["--gnp", "0", "2", "1"],
+        ["--gnp", "5", "x", "1"],
+        ["--gnp", "10", "2", "1", "--t", "0"],
+        ["--gnp", "-3", "2", "1"],
+    ):
+        proc = run_proc("experiment", *argv)
+        assert proc.returncode == 2, (argv, proc.stderr[-500:])
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_experiment_seeds_match_single_seed_runs(capsys):
+    def out(seed, *extra):
+        argv = ["experiment", "--gnp", "300", "2", str(seed), "--t", "2", *extra]
+        assert run_main(*argv) == 0
+        return capsys.readouterr().out
+
+    for mode, sep in ((["--json"], ""), ([], "\n")):
+        singles = [out(seed, *mode) for seed in (11, 12, 13)]
+        assert out(11, *mode, "--seeds", "3") == sep.join(singles)
+
+
 def test_solve_json_stable():
     a = run_proc("solve", "--family", "star", "3", "--t", "3", "--json")
     b = run_proc("solve", "--family", "star", "3", "--t", "3", "--json")

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -203,6 +204,43 @@ def test_distances_match_floyd_warshall_oracle():
     for n in (48, 64):
         g = random_graph(rng, n, 0.08)
         assert_balls_match_oracle(g, n)
+
+
+def test_saturated_balls_match_oracle():
+    # graphs whose diameter is below the cap: every ball holds all vertices
+    cases = [build_complete(n) for n in range(1, 6)]
+    cases += [cartesian_power(build_complete(n), 2) for n in (2, 3, 4)]
+    cases += [cartesian_power(build_complete(2), b) for b in (1, 2, 3, 4)]
+    for g in cases:
+        for cap in range(g.n + 1):
+            assert_balls_match_oracle(g, cap)
+
+
+class CountingSequence(Sequence):
+    """A read-only sequence that counts how many items are read."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+    def __len__(self):
+        return len(self.items)
+
+
+def test_distance_ball_stops_once_it_holds_every_vertex():
+    # K_19 squared has diameter 2: levels 0 and 1 (1 + 36 vertices) reach
+    # all 361, so the 324 lists of level 2 add nothing at cap 3
+    graph = cartesian_power(build_complete(19), 2)
+    ref = floyd_warshall(graph)
+    counting = CountingSequence(graph.adjacency)
+    graph.__dict__["adjacency"] = counting  # shadows the cached property
+    ball = distance_ball(graph, 0, 3)
+    assert counting.reads == 1 + 36
+    assert ball == {v: int(ref[0, v]) for v in range(graph.n)}
 
 
 def test_distance_ball_is_symmetric():

@@ -1,5 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from oracles import orthogonal
 from tonelab.coloring import colors_used, verify
 from tonelab.constructions import mols_coloring_knn
 from tonelab.graphs import build_complete, cartesian_power
@@ -128,3 +132,63 @@ def test_parse_family_errors():
 def test_beth_lower_bound():
     assert beth_lower_bound(3) == 1
     assert beth_lower_bound(2**15) == 2  # first order where n^(5/74) passes 2
+
+
+def test_checked_names_the_first_pair_a_pairwise_scan_finds():
+    # squares j and p-2 become square i with two rows swapped: still Latin,
+    # and the other rows (fixed points of the swap) repeat the pairs (x, x)
+    for p in (5, 7, 11):
+        base = prime_mols(p).squares
+        for i, j in combinations(range(p - 1), 2):
+            rows = list(base[i].cells)
+            rows[0], rows[1] = rows[1], rows[0]
+            squares = list(base)
+            squares[j] = squares[p - 2] = LatinSquare(p, tuple(rows))
+            assert is_latin(squares[j]) and not orthogonal(base[i].cells, rows)
+            first = next(
+                (a, b)
+                for a, b in combinations(range(p - 1), 2)
+                if not are_orthogonal(squares[a], squares[b])
+            )
+            assert first == next(
+                (a, b)
+                for a, b in combinations(range(p - 1), 2)
+                if not orthogonal(squares[a].cells, squares[b].cells)
+            )
+            with pytest.raises(ValueError) as err:
+                MolsFamily.checked(p, squares)
+            assert str(err.value) == f"squares {first[0]} and {first[1]} are not orthogonal"
+
+
+def test_are_orthogonal_exact_on_raw_entries():
+    # the raw constructor skips the range check; entries near 2**63 collapse
+    # in float64 and past it overflow int64, so the test includes both
+    rng = random.Random(5)
+    pool = [-7, -1, 0, 3, 9, 2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1, 2**70]
+    seen = set()
+    for _ in range(400):
+        n = rng.randrange(1, 5)
+        width = rng.randrange(1, len(pool) + 1)
+        entries = rng.sample(pool, width)
+
+        def square():
+            return LatinSquare(
+                n, tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(n))
+            )
+
+        a, b = square(), square()
+        expected = orthogonal(a.cells, b.cells)
+        assert are_orthogonal(a, b) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+    # 2**63 and 2**63 + 1 are one value in float64
+    big = 2**63
+    two_a = LatinSquare(2, ((big, big), (big + 1, big + 1)))
+    two_b = LatinSquare(2, ((big, big + 1), (big, big + 1)))
+    assert are_orthogonal(two_a, two_b)
+    assert not are_orthogonal(two_a, two_a)
+
+
+def test_prime_101_family_verifies():
+    fam = prime_mols(101)
+    assert fam.verified and fam.size == 100
