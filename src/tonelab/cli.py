@@ -4,8 +4,7 @@ experiment, and MOLS tooling.
 Exit codes: 0 success/valid, 1 invalid coloring or failed reproduction,
 2 parse/usage error, 3 budget exhausted. In --json mode the output is
 byte-identical across runs for identical inputs, seeds, and budgets, so
-wall-clock times are reported in human mode only. The TONELAB_THREADS
-environment variable (default 1) sets the solver worker count.
+wall-clock times are reported in human mode only.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import bounds, constructions, mols, sat_export, solver
@@ -47,13 +45,6 @@ EXIT_BUDGET = 3
 
 class UsageError(Exception):
     pass
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TONELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -151,7 +142,7 @@ def cmd_solve(args) -> int:
     if args.t < 1:
         raise UsageError("--t must be >= 1")
     budget = _budget(args)
-    outcome = solver.tau_exact(graph, args.t, budget, workers=_workers())
+    outcome = solver.tau_exact(graph, args.t, budget)
     payload = {
         "instance": name,
         "t": args.t,
@@ -359,18 +350,14 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify(graph, coloring)
-    if not report.valid:  # constructions self-verify; belt and braces
-        print("error: construction failed verification", file=sys.stderr)
-        return EXIT_INVALID
     save_coloring(coloring, args.output)
     if args.emit_graph:
         save_graph(graph, args.emit_graph)
-    info["colors_used"] = report.colors_used
+    info["colors_used"] = used = colors_used(coloring)
     if args.json:
         _emit(info, True)
     else:
-        print(f"colors_used: {report.colors_used}")
+        print(f"colors_used: {used}")
         print(f"coloring written to {args.output}")
     return EXIT_OK
 

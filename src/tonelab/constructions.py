@@ -203,7 +203,7 @@ def star_coloring(k: int, t: int) -> ToneColoring:
     if k <= 8:
         outcome = tau_exact(star, t, SearchBudget(max_nodes=20_000_000))
         if outcome.status == "exact":
-            return _checked(star, outcome.witness)
+            return outcome.witness  # feasible verified it against star
     cap = bounds.degree_lower_bound(k, t) if t >= 2 else 2
     while True:
         coloring = greedy_heuristic_coloring(star, t, cap)

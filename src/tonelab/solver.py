@@ -26,7 +26,6 @@ more.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
 from collections import deque
@@ -156,6 +155,8 @@ def _prepare(
 
 class _Meter:
     """Node counter and budget shared by one search and its candidate streams.
+
+    The search and all its candidate streams run in one process on this one meter.
 
     Hot loops keep the count in a local variable, store it back in
     ``nodes`` before handing control elsewhere, and call ``overrun`` only
@@ -335,11 +336,10 @@ def _search(
     t: int,
     k: int,
     assign: list[int],
-    start: int,
     cap: Optional[int],
     deadline: Optional[float],
 ) -> tuple[str, int]:
-    """Extend the fixed prefix assign[:start] to a full assignment.
+    """Search for a full assignment, position by position from position 0.
 
     Depth-first over search positions with an explicit stack of lazy
     candidate streams, one per position, so the search depth is bounded
@@ -351,8 +351,7 @@ def _search(
     meter = _Meter(cap, deadline)
     streams = [None] * n
     used_at = [0] * (n + 1)
-    used_at[start] = max((mask.bit_length() for mask in assign[:start]), default=0)
-    pos = start
+    pos = 0
     stream = None
     try:
         while pos < n:
@@ -365,7 +364,7 @@ def _search(
                 streams[pos] = stream
             mask = next(stream, 0)
             if not mask:
-                if pos == start:
+                if pos == 0:
                     return INFEASIBLE, meter.nodes
                 pos -= 1
                 stream = streams[pos]
@@ -393,34 +392,19 @@ def _witness_from(order, assign, t: int, k: int) -> ToneColoring:
     return ToneColoring(t, k, rows)
 
 
-def _chunk_worker(args):
-    """Search the subtree below one fixed second-vertex candidate set.
-
-    Top-level so it pickles for process pools; returns
-    (status, assignment rows or None, nodes used).
-    """
-    prep, t, k, pos1_mask, node_cap, deadline = args
-    order = prep[0]
-    assign = [0] * len(order)
-    assign[0] = (1 << t) - 1
-    assign[1] = pos1_mask
-    status, nodes = _search(prep, t, k, assign, 2, node_cap, deadline)
-    rows = _witness_from(order, assign, t, k).assignment if status == FEASIBLE else None
-    return status, rows, nodes
-
-
 def feasible(
     graph: Graph,
     t: int,
     k: int,
     budget: Optional[SearchBudget] = None,
-    workers: int = 1,
 ) -> FeasibilityResult:
     """Decide whether graph admits a t-tone coloring with k colors.
 
     Feasible results carry a verified witness; Infeasible is exhaustive
     under the completeness-preserving symmetry breaking described in the
-    module docstring. Timeout never fabricates either verdict.
+    module docstring. Timeout never fabricates either verdict. One search
+    runs in this process, so its node count is deterministic, and it stops
+    at most one node past the node cap.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -431,54 +415,15 @@ def feasible(
     deadline = start + budget.max_millis / 1000.0 if budget.max_millis is not None else None
     if graph.n == 0:
         return FeasibilityResult(FEASIBLE, ToneColoring(t, k, []), SearchStats())
-    if workers > 1 and graph.n >= 2:
-        result = _feasible_parallel(graph, t, k, budget.max_nodes, deadline, workers)
-    else:
-        prep = _prepare(graph, t)
-        assign = [0] * graph.n
-        status, nodes = _search(prep, t, k, assign, 0, budget.max_nodes, deadline)
-        witness = _witness_from(prep[0], assign, t, k) if status == FEASIBLE else None
-        stats = SearchStats(nodes=nodes, budget_exhausted=status == TIMEOUT)
-        result = FeasibilityResult(status, witness, stats)
-    result.stats.elapsed_ms = (time.monotonic() - start) * 1000.0
-    if result.status == FEASIBLE:
-        report = verify(graph, result.witness)
-        if not report.valid:
-            raise AssertionError("search produced an invalid witness")
-    return result
-
-
-def _feasible_parallel(graph, t, k, max_nodes, deadline, workers) -> FeasibilityResult:
-    """Split the first free branching level across worker processes.
-
-    One job per candidate set of the second search position; the merge
-    scans results in candidate order, so the outcome and witness are
-    reproducible for a fixed worker count. The jobs cover the whole
-    candidate list, preserving completeness. The node cap is split evenly
-    between jobs; the wall-clock deadline is one absolute time for all.
-    """
     prep = _prepare(graph, t)
-    _, partners, suffix_fresh = prep
-    root_mask = (1 << t) - 1
-    constraints = [(root_mask, limit) for j, limit in partners[1] if j == 0]
-    pos1 = list(_candidate_sets(k - suffix_fresh[2], t, t, constraints))
-    if not pos1:
-        return FeasibilityResult(INFEASIBLE, None, SearchStats(nodes=1))
-    per_node_cap = max(1, max_nodes // len(pos1)) if max_nodes is not None else None
-    jobs = [(prep, t, k, mask, per_node_cap, deadline) for mask in pos1]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-        results = pool.map(_chunk_worker, jobs)
-    total_nodes = sum(r[2] for r in results) + len(pos1)
-    for status, rows, _ in results:
-        if status == FEASIBLE:
-            wit = ToneColoring(t, k, rows)
-            return FeasibilityResult(FEASIBLE, wit, SearchStats(nodes=total_nodes))
-    if any(r[0] == TIMEOUT for r in results):
-        return FeasibilityResult(
-            TIMEOUT, None, SearchStats(nodes=total_nodes, budget_exhausted=True)
-        )
-    return FeasibilityResult(INFEASIBLE, None, SearchStats(nodes=total_nodes))
+    assign = [0] * graph.n
+    status, nodes = _search(prep, t, k, assign, budget.max_nodes, deadline)
+    elapsed_ms = (time.monotonic() - start) * 1000.0
+    witness = _witness_from(prep[0], assign, t, k) if status == FEASIBLE else None
+    if witness is not None and not verify(graph, witness).valid:
+        raise AssertionError("search produced an invalid witness")
+    stats = SearchStats(nodes, elapsed_ms, budget_exhausted=status == TIMEOUT)
+    return FeasibilityResult(status, witness, stats)
 
 
 def greedy_clique_size(graph: Graph) -> int:
@@ -532,7 +477,6 @@ def tau_exact(
     t: int,
     budget: Optional[SearchBudget] = None,
     k_max: Optional[int] = None,
-    workers: int = 1,
 ) -> SolveOutcome:
     """Compute the t-tone chromatic number by incrementing k from the best
     closed-form lower bound until the decision search finds a coloring.
@@ -562,7 +506,7 @@ def tau_exact(
             if remaining_ms <= 0:
                 break
             sub_budget = replace(sub_budget, max_millis=remaining_ms)
-        res = feasible(graph, t, k, sub_budget, workers=workers)
+        res = feasible(graph, t, k, sub_budget)
         total_nodes += res.stats.nodes
         elapsed = (time.monotonic() - start) * 1000.0
         if res.status == FEASIBLE:

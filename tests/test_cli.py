@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from tonelab import cli
-from tonelab.coloring import load_coloring, save_coloring, ToneColoring
+from tonelab import cli, constructions, solver
+from tonelab.coloring import load_coloring, save_coloring, ToneColoring, verify
 from tonelab.graphs import build_path, build_star, save_graph
 from tonelab.solver import tau_exact
 
@@ -255,7 +255,15 @@ def test_construct_large_t_hypothesis_violation(tmp_path, capsys):
     assert "t >= 12" in capsys.readouterr().err
 
 
-def test_construct_every_method_round_trips(tmp_path):
+def test_construct_every_method_round_trips(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_verify(graph, coloring):
+        calls.append(coloring)
+        return verify(graph, coloring)
+
+    for module in (cli, constructions, solver):
+        monkeypatch.setattr(module, "verify", counting_verify)
     cases = [
         ["--method", "large-t", "--family", "star", "3", "--t", "5"],
         ["--method", "decomp2", "--family", "hypercube", "4"],
@@ -267,10 +275,14 @@ def test_construct_every_method_round_trips(tmp_path):
     for i, extra in enumerate(cases):
         cpath = tmp_path / f"c{i}.col"
         gpath = tmp_path / f"g{i}.gr"
+        calls.clear()
         code = run_main(
             "construct", *extra, "-o", str(cpath), "--emit-graph", str(gpath)
         )
         assert code == 0, extra
+        # the emitted colouring is verified once, by the construction itself;
+        # multipartite also verifies the star colouring of each part
+        assert calls.count(load_coloring(cpath)) == 1, extra
         proc = run_proc("verify", str(gpath), str(cpath))
         assert proc.returncode == 0, (extra, proc.stdout, proc.stderr)
 
@@ -324,18 +336,30 @@ def test_solve_deep_search_exits_cleanly():
 
 
 def test_thread_env_var_changes_nothing():
-    env = child_env(TONELAB_THREADS="2")
-    par = subprocess.run(
-        [sys.executable, "-m", "tonelab.cli", "solve", "--family", "star", "3",
-         "--t", "3", "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    seq = run_proc("solve", "--family", "star", "3", "--t", "3", "--json")
-    a, b = json.loads(par.stdout), json.loads(seq.stdout)
-    assert a["value"] == b["value"] == 9
-    assert a["status"] == b["status"] == "exact"
+    unset = child_env()
+    unset.pop("TONELAB_THREADS", None)
+    outputs = []
+    for argv in (
+        ["solve", "--family", "star", "3", "--t", "3", "--json"],
+        ["solve", "--family", "gnp", "300", "0.01", "1", "--t", "2",
+         "--budget-nodes", "25000", "--json"],
+    ):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "tonelab.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            for env in (child_env(TONELAB_THREADS="2"), unset)
+        ]
+        assert runs[0].returncode == runs[1].returncode, argv
+        assert runs[0].stdout == runs[1].stdout, argv
+        outputs.append(json.loads(runs[0].stdout))
+    star, gnp = outputs
+    assert star["value"] == 9
+    assert star["status"] == "exact"
+    assert gnp["nodes"] <= 25_001  # the cap, plus the node that broke it
 
 
 def test_experiment_deterministic_and_sane():

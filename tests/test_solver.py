@@ -220,15 +220,11 @@ def test_brute_force_examples():
     assert brute_force_tau(build_path(2), 2, 3) is None  # needs 4 > k_max
 
 
-def test_workers_match_single_thread():
+def test_star4_three_tone_verdicts():
     g = build_star(4)
-    seq = feasible(g, 3, 9)
-    par = feasible(g, 3, 9, workers=2)
-    assert seq.status == par.status == FEASIBLE
-    seq_bad = feasible(g, 3, 8)
-    par_bad = feasible(g, 3, 8, workers=2)
-    assert seq_bad.status == par_bad.status == INFEASIBLE
-    assert tau_exact(g, 3, workers=2).value == tau_exact(g, 3).value
+    assert feasible(g, 3, 9).status == FEASIBLE
+    assert feasible(g, 3, 8).status == INFEASIBLE
+    assert tau_exact(g, 3).value == 9
 
 
 def test_witness_palette_matches_value():
@@ -360,14 +356,14 @@ def test_exact_node_counts_are_pinned():
     assert out.stats.nodes == 100_001  # the cap, plus the node that broke it
 
 
-def test_parallel_wall_clock_budget_is_shared_by_all_jobs():
+def test_wall_clock_budget_bounds_elapsed_time():
     # K_{1,4} beside S_3+2: the second search position is the first vertex
-    # of the other component, so it has 32 candidate sets and the pool gets
-    # 32 jobs, each of which is a refutation far longer than the budget
+    # of the other component, so it has 32 candidate sets, each the root of
+    # a refutation far longer than the budget
     g = Graph(11, [(0, 1), (0, 2), (0, 3), (0, 4),
                    (5, 6), (5, 7), (5, 8), (6, 9), (6, 10)])
     budget_ms = 300.0
-    res = feasible(g, 5, 17, SearchBudget(max_nodes=None, max_millis=budget_ms), workers=2)
+    res = feasible(g, 5, 17, SearchBudget(max_nodes=None, max_millis=budget_ms))
     assert res.status == TIMEOUT
     assert res.stats.budget_exhausted
-    assert res.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for the pool
+    assert res.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
