@@ -2,9 +2,10 @@
 experiment, and MOLS tooling.
 
 Exit codes: 0 success/valid, 1 invalid coloring or failed reproduction,
-2 parse/usage error, 3 budget exhausted. In --json mode the output is
-byte-identical across runs for identical inputs, seeds, and budgets, so
-wall-clock times are reported in human mode only.
+2 parse/usage error or a path that cannot be read or written, 3 budget
+exhausted. In --json mode the output is byte-identical across runs for
+identical inputs, seeds, and budgets, so wall-clock times are reported in
+human mode only.
 """
 
 from __future__ import annotations
@@ -95,21 +96,23 @@ def _input_graph(args) -> tuple[Graph, str]:
         return resolve_family(args.family)
     if getattr(args, "graph", None):
         try:
-            return load_graph(args.graph), args.graph
+            graph = load_graph(args.graph)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read graph {args.graph!r}: {exc}") from exc
+        if graph.n == 0:
+            raise UsageError("empty graph")
+        return graph, args.graph
     raise UsageError("supply a graph file or --family")
 
 
 def _budget(args) -> solver.SearchBudget:
     nodes = getattr(args, "budget_nodes", None)
     millis = getattr(args, "budget_ms", None)
+    if nodes is not None and nodes < 0 or millis is not None and not millis >= 0:
+        raise UsageError("--budget-nodes and --budget-ms must be >= 0")
     if nodes is None and millis is None:
         return solver.SearchBudget()
-    return solver.SearchBudget(
-        max_nodes=nodes if nodes is not None else None,
-        max_millis=float(millis) if millis is not None else None,
-    )
+    return solver.SearchBudget(max_nodes=nodes, max_millis=millis)
 
 
 def cmd_verify(args) -> int:
@@ -117,7 +120,7 @@ def cmd_verify(args) -> int:
         graph = load_graph(args.graph)
         coloring = load_coloring(args.coloring)
         report = verify(graph, coloring)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
@@ -276,6 +279,8 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
 
 def cmd_bound(args) -> int:
     graph, name = _input_graph(args)
+    if args.t < 1:
+        raise UsageError("--t must be >= 1")
     parts = None
     if args.family and args.family[0] == "multipartite":
         parts = [int(x) for x in args.family[1].split(",") if x]
@@ -475,12 +480,7 @@ def _experiment_row(n: int, c: float, seed: int, t: int) -> dict:
     lower = (
         bounds.degree_lower_bound(delta, t) if delta >= 1 and t >= 2 else t
     )
-    cap = max(t, lower)
-    heuristic = None
-    while heuristic is None:
-        heuristic = constructions.greedy_heuristic_coloring(graph, t, cap)
-        cap += 1
-    heuristic_colors = colors_used(heuristic)
+    heuristic_colors = colors_used(constructions.greedy_heuristic_climb(graph, t))
     decomp_colors = None
     if t == 2:
         decomp, _ = constructions.two_tone_via_decomposition(graph)
@@ -547,7 +547,7 @@ def cmd_mols(args) -> int:
             )
         else:
             raise UsageError("choose one of --prime, --order, --check, --product")
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,7 +28,7 @@ from .graphs import (
     is_connected,
 )
 from .mols import MolsFamily
-from .solver import SearchBudget, _candidate_sets, search_order, tau_exact
+from .solver import SearchBudget, _candidate_sets, _prepare, _witness_from, tau_exact
 
 
 def _checked(graph: Graph, coloring: ToneColoring) -> ToneColoring:
@@ -204,12 +204,7 @@ def star_coloring(k: int, t: int) -> ToneColoring:
         outcome = tau_exact(star, t, SearchBudget(max_nodes=20_000_000))
         if outcome.status == "exact":
             return outcome.witness  # feasible verified it against star
-    cap = bounds.degree_lower_bound(k, t) if t >= 2 else 2
-    while True:
-        coloring = greedy_heuristic_coloring(star, t, cap)
-        if coloring is not None:
-            return coloring
-        cap += 1
+    return greedy_heuristic_climb(star, t)
 
 
 def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
@@ -236,30 +231,46 @@ def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
 def greedy_heuristic_coloring(
     graph: Graph, t: int, palette_cap: int
 ) -> Optional[ToneColoring]:
-    """Empirical upper bounds: vertices in descending-degree BFS order,
-    each taking the lexicographically smallest t-subset of the palette
-    that respects every already-colored vertex within distance t. Returns
-    None as soon as some vertex has no valid set.
+    """Empirical upper bounds: vertices in the exact search's order, each
+    taking the lexicographically smallest t-subset of the palette that
+    respects every already-colored vertex within distance t (the search's
+    own constraint lists, from _prepare). Returns None as soon as some
+    vertex has no valid set.
     """
     if palette_cap < t:
         raise ValueError("palette_cap must be at least t")
-    order = search_order(graph)
-    position = {v: i for i, v in enumerate(order)}
-    masks: list[Optional[int]] = [None] * graph.n
-    for v in order:
-        # only earlier-positioned vertices within distance t constrain
-        constraints = [
-            (masks[w], d - 1)
-            for w, d in distance_ball(graph, v, t).items()
-            if position[w] < position[v]
-        ]
+    return _greedy(graph, _prepare(graph, t), t, palette_cap)
+
+
+def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
+    """The greedy heuristic at the smallest palette cap it succeeds with.
+
+    Caps are tried upward from the degree lower bound (from t where that
+    bound does not apply); no smaller cap can succeed, since its coloring
+    would beat a lower bound. The search order and the constraint lists
+    are prepared once and shared by every cap tried.
+    """
+    prep = _prepare(graph, t)
+    delta = graph.max_degree
+    cap = bounds.degree_lower_bound(delta, t) if delta >= 1 and t >= 2 else t
+    while True:
+        coloring = _greedy(graph, prep, t, cap)
+        if coloring is not None:
+            return coloring
+        cap += 1
+
+
+def _greedy(graph: Graph, prep, t: int, cap: int) -> Optional[ToneColoring]:
+    order, partners, _ = prep
+    assign = [0] * graph.n
+    for i, plist in enumerate(partners):
+        constraints = [(assign[j], limit) for j, limit in plist]
         # used=cap disables the introduce-in-order rule: plain lex search.
-        mask = next(_candidate_sets(palette_cap, t, palette_cap, constraints), None)
+        mask = next(_candidate_sets(cap, t, cap, constraints), None)
         if mask is None:
             return None
-        masks[v] = mask
-    rows = [[c for c in range(palette_cap) if (m >> c) & 1] for m in masks]
-    return _checked(graph, ToneColoring(t, palette_cap, rows))
+        assign[i] = mask
+    return _checked(graph, _witness_from(order, assign, t, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ canonical numbering so that witnesses and certificates are reproducible:
 paths in path order, star head at 0, multipartite parts contiguous,
 products in row-major coordinate order, trees in BFS level order.
 
-Distances come from one primitive, distance_ball: a breadth-first search
+Every breadth-first search in the package is a distance_ball: one BFS
 from one vertex cut at a depth cap. A t-tone constraint is vacuous past
-distance t, so every consumer walks the distance-t ball of each vertex
-and nothing ever holds all n^2 distances at once.
+distance t, so every distance consumer walks the distance-t ball of each
+vertex and nothing ever holds all n^2 distances at once. Components,
+connectivity and the solver's search order read uncapped balls (cap n).
 
 Graph is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -132,24 +132,16 @@ def connected_components(graph: Graph) -> list[list[int]]:
     seen = [False] * graph.n
     comps = []
     for s in range(graph.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in graph.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+        if not seen[s]:
+            comp = sorted(distance_ball(graph, s, graph.n))
+            for v in comp:
+                seen[v] = True
+            comps.append(comp)
     return comps
 
 
 def is_connected(graph: Graph) -> bool:
-    return graph.n <= 1 or len(connected_components(graph)) == 1
+    return graph.n <= 1 or len(distance_ball(graph, 0, graph.n)) == graph.n
 
 
 def build_path(n: int) -> Graph:

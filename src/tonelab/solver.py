@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
@@ -91,27 +90,19 @@ def search_order(graph: Graph) -> list[int]:
     """Descending degree, ties broken by BFS order from a max-degree vertex.
 
     The max-degree vertex and its neighborhood carry the binding
-    constraints, so they are placed first. BFS restarts per component.
+    constraints, so they are placed first. Vertices are numbered in the
+    key order of uncapped distance balls, which is BFS discovery order,
+    one ball per component, each from its first vertex in degree order.
     """
     n = graph.n
     degs = graph.degrees
     bfs_index = [-1] * n
     counter = 0
-    seen = [False] * n
-    by_degree = sorted(range(n), key=lambda v: (-degs[v], v))
-    for seed in by_degree:
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            bfs_index[u] = counter
-            counter += 1
-            for w in graph.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    for seed in sorted(range(n), key=lambda v: (-degs[v], v)):
+        if bfs_index[seed] < 0:
+            for u in distance_ball(graph, seed, n):
+                bfs_index[u] = counter
+                counter += 1
     return sorted(range(n), key=lambda v: (-degs[v], bfs_index[v]))
 
 
@@ -137,11 +128,9 @@ def _prepare(
     partners: list[list[tuple[int, int]]] = []
     fresh_min: list[int] = []
     for i, v in enumerate(order):
-        plist = sorted(
-            (position[w], d - 1)
-            for w, d in distance_ball(graph, v, t).items()
-            if position[w] < i
-        )
+        ball = distance_ball(graph, v, t)
+        plist = [(j, d - 1) for w, d in ball.items() if (j := position[w]) < i]
+        plist.sort()
         partners.append(plist)
         if len(plist) == i:  # every earlier vertex constrains this one
             fresh_min.append(max(0, t - sum(lim for _, lim in plist)))
@@ -508,15 +497,12 @@ def tau_exact(
             sub_budget = replace(sub_budget, max_millis=remaining_ms)
         res = feasible(graph, t, k, sub_budget)
         total_nodes += res.stats.nodes
-        elapsed = (time.monotonic() - start) * 1000.0
         if res.status == FEASIBLE:
+            elapsed = (time.monotonic() - start) * 1000.0
             stats = SearchStats(nodes=total_nodes, elapsed_ms=elapsed)
             return SolveOutcome(EXACT, k, k, k, res.witness, stats)
         if res.status == TIMEOUT:
-            stats = SearchStats(nodes=total_nodes, elapsed_ms=elapsed, budget_exhausted=True)
-            return SolveOutcome(
-                TIMEOUT, None, k, t * graph.n, _trivial_coloring(graph, t), stats
-            )
+            break  # bracket [k, t*n], as when the budget runs out between k
         k += 1
     elapsed = (time.monotonic() - start) * 1000.0
     if k_max is not None and k > k_max:

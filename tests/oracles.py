@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch against the
 definitions, sharing no machinery with the implementation under test:
 orthogonality of two squares as a set of cell pairs, Floyd-Warshall
 distances, a naive pair-scan verifier on sorted lists, an exact chromatic
-number by plain backtracking, and an isomorphism-class enumerator for
-small connected graphs.
+number by plain backtracking, queue-driven BFS for the search order and
+the components, and an isomorphism-class enumerator for small connected
+graphs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
 import numpy as np
@@ -35,6 +37,52 @@ def floyd_warshall(graph: Graph) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def bfs_search_order(graph: Graph) -> list[int]:
+    """Descending degree, ties broken by the index at which a FIFO-queue
+    BFS reaches each vertex; the BFS restarts in each unseen component
+    from its first vertex in (descending degree, index) order."""
+    n = graph.n
+    degs = graph.degrees
+    bfs_index = [-1] * n
+    counter = 0
+    seen = [False] * n
+    for seed in sorted(range(n), key=lambda v: (-degs[v], v)):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        queue = deque([seed])
+        while queue:
+            u = queue.popleft()
+            bfs_index[u] = counter
+            counter += 1
+            for w in graph.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return sorted(range(n), key=lambda v: (-degs[v], bfs_index[v]))
+
+
+def bfs_components(graph: Graph) -> list[list[int]]:
+    """Components as sorted vertex lists, ordered by smallest member."""
+    seen = [False] * graph.n
+    comps = []
+    for s in range(graph.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in graph.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 def sorted_intersection_size(a, b) -> int:

@@ -422,3 +422,46 @@ def test_family_usage_errors():
     assert run_main("solve", "--family", "blob", "3", "--t", "2") == 2
     assert run_main("solve", "--t", "2") == 2
     assert run_main("construct", "--method", "mols", "--t", "2", "-o", "/tmp/x") == 2
+
+
+def test_experiment_row_is_pinned(capsys):
+    # recorded before the palette-cap climb shared one _prepare across caps
+    assert run_main("experiment", "--gnp", "4000", "2", "42", "--t", "3", "--json") == 0
+    assert capsys.readouterr().out == (
+        '{"c": 2.0, "decomp_upper": null, "edges": 3955, "greedy_upper": 13, '
+        '"lower": 11, "max_degree": 8, "n": 4000, "ratio": 1.876388, "seed": 42, '
+        '"t": 3, "upper": 13}\n'
+    )
+
+
+def test_malformed_input_exits_2(tmp_path):
+    empty = tmp_path / "empty.gr"
+    empty.write_text("0 0\n")
+    for argv in (
+        ["bound", "--family", "path", "3", "--t", "0"],
+        ["bound", "--family", "path", "3", "--t", "-1"],
+        ["bound", str(empty), "--t", "2"],
+        ["solve", str(empty), "--t", "2"],
+        ["solve", "--family", "path", "3", "--t", "2", "--budget-nodes", "-1"],
+        ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "-5"],
+        ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "nan"],
+    ):
+        proc = run_proc(*argv)
+        assert proc.returncode == 2, (argv, proc.stdout, proc.stderr[-500:])
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x")
+    ok = str(tmp_path / "ok.col")
+    for argv in (
+        ["solve", "--family", "star", "3", "--t", "3", "--emit-witness", bad],
+        ["solve", "--family", "star", "3", "--t", "3", "--emit-cnf", bad],
+        ["construct", "--method", "star", "--k", "3", "--t", "2", "-o", bad],
+        ["construct", "--method", "star", "--k", "3", "--t", "2", "-o", ok, "--emit-graph", bad],
+        ["mols", "--prime", "5", "-o", bad],
+    ):
+        assert run_main(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err, (argv, err)

@@ -3,11 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import floyd_warshall, random_tree
+from oracles import bfs_search_order, floyd_warshall, random_graph, random_tree
 from tonelab.bounds import degree_lower_bound, distance_deficiency, tree2tone_formula
 from tonelab.coloring import colors_used, verify
 from tonelab.constructions import (
     SCHEMES,
+    greedy_heuristic_climb,
     greedy_heuristic_coloring,
     greedy_large_t_coloring,
     greedy_proper_coloring,
@@ -182,6 +183,67 @@ def test_greedy_heuristic_on_random_trees():
         col = greedy_heuristic_coloring(tree, 2, cap)
         assert col is not None
         assert verify(tree, col).valid
+
+
+def lex_first_greedy(graph, t, cap):
+    """Reference greedy: in queue-BFS search order, each vertex takes the
+    first t-subset of range(cap), in itertools order, sharing fewer than d
+    colors with every earlier vertex at distance d <= t; None on a miss."""
+    dist = floyd_warshall(graph)
+    sets = {}
+    for v in bfs_search_order(graph):
+        sets[v] = next(
+            (
+                set(combo)
+                for combo in combinations(range(cap), t)
+                if all(len(set(combo) & sets[w]) < dist[v, w] for w in sets)
+            ),
+            None,
+        )
+        if sets[v] is None:
+            return None
+    return tuple(tuple(sorted(sets[v])) for v in range(graph.n))
+
+
+def fixed_cap_climb(graph, t, cap):
+    """The palette-cap climb as written before greedy_heuristic_climb."""
+    while True:
+        coloring = greedy_heuristic_coloring(graph, t, cap)
+        if coloring is not None:
+            return coloring
+        cap += 1
+
+
+def test_greedy_heuristic_matches_lex_first_reference():
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 16), rng.choice([0.1, 0.2, 0.4]))
+        t = rng.randrange(1, 4)
+        for cap in range(t, t + 8):
+            col = greedy_heuristic_coloring(g, t, cap)
+            want = lex_first_greedy(g, t, cap)
+            assert (col and col.assignment) == want, (sorted(g.edges), t, cap)
+            assert col is None or col.palette_size == cap
+            outcomes.add(col is None)
+    assert outcomes == {True, False}
+
+
+def test_greedy_heuristic_climb_matches_fixed_cap_climb():
+    # the experiment's climb started at max(t, degree bound); the star's
+    # at the degree bound, or 2 for t = 1
+    rng = random.Random(31)
+    graphs = [build_star(k) for k in (1, 2, 9, 12)]
+    graphs += [random_graph(rng, rng.randrange(1, 60), 3 / 30) for _ in range(30)]
+    for g in graphs:
+        for t in (1, 2, 3):
+            delta = g.max_degree
+            lower = degree_lower_bound(delta, t) if delta >= 1 and t >= 2 else t
+            assert greedy_heuristic_climb(g, t) == fixed_cap_climb(g, t, max(t, lower))
+    for k in (9, 10, 12):
+        for t in (1, 2, 3):
+            start = degree_lower_bound(k, t) if t >= 2 else 2
+            assert star_coloring(k, t) == fixed_cap_climb(build_star(k), t, start)
 
 
 def test_scheme_registry():

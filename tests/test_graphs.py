@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import floyd_warshall, random_graph
+from oracles import bfs_components, bfs_search_order, floyd_warshall, random_graph
 from tonelab.coloring import verify
 from tonelab.constructions import two_tone_via_decomposition
 from tonelab.graphs import (
@@ -25,7 +25,7 @@ from tonelab.graphs import (
     is_connected,
     parse_graph,
 )
-from tonelab.solver import TIMEOUT, SearchBudget, feasible
+from tonelab.solver import TIMEOUT, SearchBudget, feasible, search_order
 
 
 def assert_balls_match_oracle(graph, cap):
@@ -294,6 +294,24 @@ def test_connected_components():
     assert connected_components(g) == [[0, 1], [2], [3, 4]]
     assert not is_connected(g)
     assert is_connected(build_path(4))
+
+
+def test_components_and_search_order_match_queue_bfs():
+    # both read uncapped distance balls; the references are queue BFS
+    rng = random.Random(1117)
+    disconnected = isolated = 0
+    graphs = [Graph(0), Graph(1), Graph(6), build_star(5), build_path(7)]
+    for _ in range(240):
+        n = rng.randrange(1, 41)
+        graphs.append(random_graph(rng, n, rng.choice([0.02, 0.05, 0.1, 0.2, 0.5])))
+    for g in graphs:
+        comps = connected_components(g)
+        assert comps == bfs_components(g)
+        assert is_connected(g) == (len(comps) <= 1)
+        assert search_order(g) == bfs_search_order(g)
+        disconnected += len(comps) > 1
+        isolated += 0 in g.degrees
+    assert disconnected >= 100 and isolated >= 100
 
 
 def test_graph_format_round_trip():
