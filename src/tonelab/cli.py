@@ -155,6 +155,18 @@ def cmd_solve(args) -> int:
         "best_upper": outcome.best_upper,
         "nodes": outcome.stats.nodes,
     }
+    written = []  # files are written before anything is printed
+    if args.emit_witness and outcome.witness is not None:
+        save_coloring(outcome.witness, args.emit_witness)
+        written.append(f"witness written to {args.emit_witness}")
+    if args.emit_cnf:
+        k = outcome.value - 1 if outcome.status == solver.EXACT else outcome.best_lower
+        if k < args.t:
+            print(f"cnf export skipped: k={k} < t", file=sys.stderr)
+        else:
+            with open(args.emit_cnf, "w") as fh:
+                fh.write(sat_export.encode_decision_cnf(graph, args.t, k))
+            written.append(f"cnf for k={k} written to {args.emit_cnf}")
     if args.json:
         _emit(payload, True)
     else:
@@ -163,19 +175,8 @@ def cmd_solve(args) -> int:
         else:
             print(f"bracket [{outcome.best_lower}, {outcome.best_upper}]")
         print(f"nodes: {outcome.stats.nodes}  elapsed_ms: {outcome.stats.elapsed_ms:.1f}")
-    if args.emit_witness and outcome.witness is not None:
-        save_coloring(outcome.witness, args.emit_witness)
-        if not args.json:
-            print(f"witness written to {args.emit_witness}")
-    if args.emit_cnf:
-        k = outcome.value - 1 if outcome.status == solver.EXACT else outcome.best_lower
-        if k < args.t:
-            print(f"cnf export skipped: k={k} < t", file=sys.stderr)
-        else:
-            with open(args.emit_cnf, "w") as fh:
-                fh.write(sat_export.encode_decision_cnf(graph, args.t, k))
-            if not args.json:
-                print(f"cnf for k={k} written to {args.emit_cnf}")
+        for line in written:
+            print(line)
     return EXIT_OK if outcome.status == solver.EXACT else EXIT_BUDGET
 
 

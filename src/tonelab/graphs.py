@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,14 +29,8 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    labels: Optional[tuple[str, ...]] = None
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
@@ -48,11 +42,6 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
-        if labels is not None:
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-            labels = tuple(labels)
-        self.labels = labels
 
     @property
     def m(self) -> int:
@@ -74,9 +63,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees) if self.n else 0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -90,10 +76,7 @@ class Graph:
             for u, v in self.edges
             if u in index and v in index
         ]
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[v] for v in vertices]
-        return Graph(len(vertices), sub, labels)
+        return Graph(len(vertices), sub)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -189,12 +172,10 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex (u, v) is numbered u*h.n + v.
 
     (u1,u2) ~ (v1,v2) iff equal in one coordinate and adjacent in the
-    other. Labels record coordinate tuples, comma-separated.
+    other.
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("product factors must be nonempty")
-    glab = g.labels or tuple(str(i) for i in range(g.n))
-    hlab = h.labels or tuple(str(i) for i in range(h.n))
     n = g.n * h.n
     edges = []
     for u in range(g.n):
@@ -203,18 +184,16 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, b in g.edges:
         for v in range(h.n):
             edges.append((a * h.n + v, b * h.n + v))
-    labels = [f"{glab[u]},{hlab[v]}" for u in range(g.n) for v in range(h.n)]
-    return Graph(n, edges, labels)
+    return Graph(n, edges)
 
 
 def cartesian_power(g: Graph, b: int) -> Graph:
     """b-fold Cartesian power of g; row-major coordinate numbering."""
     if b < 1:
         raise ValueError("power must be >= 1")
-    base = Graph(g.n, g.edges, g.labels or tuple(str(i) for i in range(g.n)))
-    out = base
+    out = g
     for _ in range(b - 1):
-        out = cartesian_product(out, base)
+        out = cartesian_product(out, g)
     return out
 
 

@@ -22,13 +22,16 @@ Search effort is counted in nodes, which are deterministic and drive the
 node budget: each entry into a position's candidate search (see
 _candidate_sets) is one node, and each placement of a candidate set is one
 more.
+
+tau_exact runs the decision search for each palette size from the lower
+bound up on one prepared search, under one node cap and one deadline.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -43,7 +46,6 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 EXACT = "exact"
-LOWER_ONLY = "lower_only"
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str  # exact | lower_only | timeout
+    status: str  # exact | timeout
     value: Optional[int]
     best_lower: int
     best_upper: Optional[int]
@@ -143,9 +145,8 @@ def _prepare(
 
 
 class _Meter:
-    """Node counter and budget shared by one search and its candidate streams.
-
-    The search and all its candidate streams run in one process on this one meter.
+    """Node counter and budget of one solve, shared by all its searches and
+    their candidate streams; the cap and deadline are set when it is made.
 
     Hot loops keep the count in a local variable, store it back in
     ``nodes`` before handing control elsewhere, and call ``overrun`` only
@@ -153,13 +154,25 @@ class _Meter:
     check, due at the first node and every 1024 nodes after it.
     """
 
-    __slots__ = ("nodes", "limit", "cap", "deadline")
+    __slots__ = ("nodes", "limit", "cap", "deadline", "start")
 
-    def __init__(self, cap: Optional[int] = None, deadline: Optional[float] = None):
+    def __init__(self, budget: SearchBudget = SearchBudget(max_nodes=sys.maxsize)):
         self.nodes = 0
-        self.cap = sys.maxsize if cap is None else cap
-        self.deadline = deadline
-        self.limit = self.cap if deadline is None else 0
+        self.start = time.monotonic()
+        self.cap = sys.maxsize if budget.max_nodes is None else budget.max_nodes
+        ms = budget.max_millis
+        self.deadline = None if ms is None else self.start + ms / 1000.0
+        self.limit = self.cap if self.deadline is None else 0
+
+    def spent(self) -> bool:
+        """True once every node of the cap is used or the deadline has passed."""
+        if self.nodes >= self.cap:
+            return True
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
+    def stats(self, exhausted: bool) -> SearchStats:
+        elapsed_ms = (time.monotonic() - self.start) * 1000.0
+        return SearchStats(self.nodes, elapsed_ms, budget_exhausted=exhausted)
 
     def overrun(self, nodes: int) -> int:
         """Record ``nodes``; raise if a cap is spent, else return the next limit."""
@@ -325,19 +338,18 @@ def _search(
     t: int,
     k: int,
     assign: list[int],
-    cap: Optional[int],
-    deadline: Optional[float],
-) -> tuple[str, int]:
+    meter: _Meter,
+) -> str:
     """Search for a full assignment, position by position from position 0.
 
     Depth-first over search positions with an explicit stack of lazy
     candidate streams, one per position, so the search depth is bounded
-    by n and not by Python's recursion limit. Each placement is one node.
-    Returns (status, nodes); on FEASIBLE, ``assign`` holds the assignment.
+    by n and not by Python's recursion limit. Each placement is one node,
+    counted on ``meter`` on top of what it already holds. Returns the
+    status; on FEASIBLE, ``assign`` holds the assignment.
     """
     order, partners, suffix_fresh = prep
     n = len(order)
-    meter = _Meter(cap, deadline)
     streams = [None] * n
     used_at = [0] * (n + 1)
     pos = 0
@@ -354,7 +366,7 @@ def _search(
             mask = next(stream, 0)
             if not mask:
                 if pos == 0:
-                    return INFEASIBLE, meter.nodes
+                    return INFEASIBLE
                 pos -= 1
                 stream = streams[pos]
                 continue
@@ -369,8 +381,8 @@ def _search(
             used_at[pos] = width if width > used else used
             stream = None
     except _BudgetExhausted:
-        return TIMEOUT, meter.nodes
-    return FEASIBLE, meter.nodes
+        return TIMEOUT
+    return FEASIBLE
 
 
 def _witness_from(order, assign, t: int, k: int) -> ToneColoring:
@@ -381,6 +393,20 @@ def _witness_from(order, assign, t: int, k: int) -> ToneColoring:
     return ToneColoring(t, k, rows)
 
 
+def _decide(
+    graph: Graph, prep, t: int, k: int, meter: _Meter
+) -> tuple[str, Optional[ToneColoring]]:
+    """One decision search on ``meter``; FEASIBLE comes with a verified witness."""
+    assign = [0] * graph.n
+    status = _search(prep, t, k, assign, meter)
+    if status != FEASIBLE:
+        return status, None
+    witness = _witness_from(prep[0], assign, t, k)
+    if not verify(graph, witness).valid:
+        raise AssertionError("search produced an invalid witness")
+    return status, witness
+
+
 def feasible(
     graph: Graph,
     t: int,
@@ -389,30 +415,19 @@ def feasible(
 ) -> FeasibilityResult:
     """Decide whether graph admits a t-tone coloring with k colors.
 
-    Feasible results carry a verified witness; Infeasible is exhaustive
-    under the completeness-preserving symmetry breaking described in the
-    module docstring. Timeout never fabricates either verdict. One search
-    runs in this process, so its node count is deterministic, and it stops
-    at most one node past the node cap.
+    Feasible results carry a verified witness (the empty coloring on the
+    empty graph); Infeasible is exhaustive under the completeness-preserving
+    symmetry breaking described in the module docstring. Timeout never
+    fabricates either verdict. One search runs in this process, so its node
+    count is deterministic, and it stops at most one node past the node cap.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if k < t:
         raise ValueError(f"k={k} < t={t}: each vertex needs t distinct colors")
-    budget = budget or SearchBudget()
-    start = time.monotonic()
-    deadline = start + budget.max_millis / 1000.0 if budget.max_millis is not None else None
-    if graph.n == 0:
-        return FeasibilityResult(FEASIBLE, ToneColoring(t, k, []), SearchStats())
-    prep = _prepare(graph, t)
-    assign = [0] * graph.n
-    status, nodes = _search(prep, t, k, assign, budget.max_nodes, deadline)
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    witness = _witness_from(prep[0], assign, t, k) if status == FEASIBLE else None
-    if witness is not None and not verify(graph, witness).valid:
-        raise AssertionError("search produced an invalid witness")
-    stats = SearchStats(nodes, elapsed_ms, budget_exhausted=status == TIMEOUT)
-    return FeasibilityResult(status, witness, stats)
+    meter = _Meter(budget or SearchBudget())
+    status, witness = _decide(graph, _prepare(graph, t), t, k, meter)
+    return FeasibilityResult(status, witness, meter.stats(status == TIMEOUT))
 
 
 def greedy_clique_size(graph: Graph) -> int:
@@ -465,51 +480,34 @@ def tau_exact(
     graph: Graph,
     t: int,
     budget: Optional[SearchBudget] = None,
-    k_max: Optional[int] = None,
 ) -> SolveOutcome:
     """Compute the t-tone chromatic number by incrementing k from the best
     closed-form lower bound until the decision search finds a coloring.
 
-    Exact outcomes carry the witness; the infeasibility of value-1 is
-    either search-proved (when the loop visited it) or implied by the
-    starting lower bound. On budget exhaustion the outcome is the honest
-    bracket with the trivial disjoint coloring as upper witness.
+    The search is prepared once, and one budget covers every palette size;
+    a palette size starts only while some of it is left. Exact outcomes
+    carry the witness; the infeasibility of value-1 is either
+    search-proved (when the loop visited it) or implied by the starting
+    lower bound. On budget exhaustion the outcome is the honest bracket
+    [first k not refuted, t*n] with the trivial disjoint coloring as upper
+    witness.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if graph.n == 0:
         raise ValueError("empty graph")
-    budget = budget or SearchBudget()
-    start = time.monotonic()
-    total_nodes = 0
+    meter = _Meter(budget or SearchBudget())
     k = starting_lower_bound(graph, t)
-    while k_max is None or k <= k_max:
-        sub_budget = budget
-        if budget.max_nodes is not None:
-            remaining = budget.max_nodes - total_nodes
-            if remaining <= 0:
-                break
-            sub_budget = replace(budget, max_nodes=remaining)
-        if budget.max_millis is not None:
-            remaining_ms = budget.max_millis - (time.monotonic() - start) * 1000.0
-            if remaining_ms <= 0:
-                break
-            sub_budget = replace(sub_budget, max_millis=remaining_ms)
-        res = feasible(graph, t, k, sub_budget)
-        total_nodes += res.stats.nodes
-        if res.status == FEASIBLE:
-            elapsed = (time.monotonic() - start) * 1000.0
-            stats = SearchStats(nodes=total_nodes, elapsed_ms=elapsed)
-            return SolveOutcome(EXACT, k, k, k, res.witness, stats)
-        if res.status == TIMEOUT:
-            break  # bracket [k, t*n], as when the budget runs out between k
+    prep = _prepare(graph, t)
+    while not meter.spent():
+        status, witness = _decide(graph, prep, t, k, meter)
+        if status == FEASIBLE:
+            return SolveOutcome(EXACT, k, k, k, witness, meter.stats(False))
+        if status == TIMEOUT:
+            break
         k += 1
-    elapsed = (time.monotonic() - start) * 1000.0
-    if k_max is not None and k > k_max:
-        stats = SearchStats(nodes=total_nodes, elapsed_ms=elapsed)
-        return SolveOutcome(LOWER_ONLY, k, k, None, None, stats)
-    stats = SearchStats(nodes=total_nodes, elapsed_ms=elapsed, budget_exhausted=True)
-    return SolveOutcome(TIMEOUT, None, k, t * graph.n, _trivial_coloring(graph, t), stats)
+    witness = _trivial_coloring(graph, t)
+    return SolveOutcome(TIMEOUT, None, k, t * graph.n, witness, meter.stats(True))
 
 
 def brute_force_tau(graph: Graph, t: int, k_max: int) -> Optional[int]:

@@ -463,5 +463,6 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
         ["mols", "--prime", "5", "-o", bad],
     ):
         assert run_main(*argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and bad in err, (argv, err)
+        assert out == "", (argv, out)  # nothing printed before the failed write

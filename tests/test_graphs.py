@@ -101,7 +101,7 @@ def test_cartesian_products():
     k3sq = cartesian_power(build_complete(3), 2)
     assert k3sq.n == 9
     assert all(deg == 4 for deg in k3sq.degrees)
-    assert k3sq.labels is not None and k3sq.labels[5] == "1,2"
+    assert k3sq.adjacency[5] == (2, 3, 4, 8)  # (1, 2) is vertex 1*3 + 2
     with pytest.raises(ValueError):
         cartesian_power(build_complete(2), 0)
     with pytest.raises(ValueError):

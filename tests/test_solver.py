@@ -18,7 +18,6 @@ from tonelab.solver import (
     EXACT,
     FEASIBLE,
     INFEASIBLE,
-    LOWER_ONLY,
     TIMEOUT,
     SearchBudget,
     brute_force_tau,
@@ -143,13 +142,6 @@ def test_timeout_returns_bracket_never_exact():
     res = feasible(g, 3, 9, SearchBudget(max_nodes=1))
     assert res.status == TIMEOUT and res.witness is None
     assert res.stats.budget_exhausted
-
-
-def test_lower_only_with_k_max():
-    out = tau_exact(build_star(3), 3, k_max=8)
-    assert out.status == LOWER_ONLY
-    assert out.value == 9  # everything below proved infeasible
-    assert out.witness is None
 
 
 def test_starting_lower_bound_components():
@@ -367,3 +359,56 @@ def test_wall_clock_budget_bounds_elapsed_time():
     assert res.status == TIMEOUT
     assert res.stats.budget_exhausted
     assert res.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
+
+
+def test_tau_exact_counts_every_palette_size_on_one_budget():
+    s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    out = tau_exact(s3_plus_2, 5)
+    assert out.status == EXACT and out.value == 18
+    assert out.stats.nodes == 1 + 309_691 + 42  # k = 16, 17 refuted; 18 found
+    star5 = build_star(5)
+    out = tau_exact(star5, 3)
+    assert out.status == EXACT and out.value == 10
+    assert out.stats.nodes == 311
+    # k = 9 is refuted in exactly 279 nodes: the spent cap stops the run
+    # before k = 10, so the count does not read one past the cap
+    out = tau_exact(star5, 3, SearchBudget(max_nodes=279))
+    assert (out.status, out.best_lower, out.stats.nodes) == (TIMEOUT, 10, 279)
+    out = tau_exact(build_path(6), 4, SearchBudget(max_nodes=2))
+    assert (out.status, out.best_lower, out.stats.nodes) == (TIMEOUT, 12, 2)
+
+
+def test_tau_exact_prepares_once(monkeypatch):
+    from tonelab import solver
+
+    calls = []
+    prepare = solver._prepare
+
+    def spy(graph, t):
+        calls.append(t)
+        return prepare(graph, t)
+
+    monkeypatch.setattr(solver, "_prepare", spy)
+    out = tau_exact(build_star(5), 3)
+    assert (out.value, out.best_lower) == (10, 10)
+    assert starting_lower_bound(build_star(5), 3) == 9  # two palette sizes
+    assert calls == [3]
+
+
+def test_feasible_on_the_empty_graph():
+    res = feasible(Graph(0), 2, 3)
+    assert res.status == FEASIBLE
+    assert res.witness.assignment == () and res.stats.nodes == 0
+    assert verify(Graph(0), res.witness).valid
+
+
+def test_tau_exact_wall_clock_budget_spans_palette_sizes():
+    # k = 16 is refuted in one node; k = 17 needs ~310k nodes, far more
+    # than 50 ms, so the shared deadline falls inside it
+    s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    budget_ms = 50.0
+    out = tau_exact(s3_plus_2, 5, SearchBudget(max_nodes=None, max_millis=budget_ms))
+    assert out.status == TIMEOUT and out.best_lower == 17
+    assert out.stats.budget_exhausted
+    assert 1 < out.stats.nodes < 1 + 309_691
+    assert out.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
