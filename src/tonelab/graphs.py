@@ -224,6 +224,9 @@ def build_truncated_regular_tree(delta: int, depth: int) -> Graph:
     return Graph(next_vertex, edges)
 
 
+_GNP_CHUNK = 1 << 16  # uniforms per draw in build_gnp
+
+
 def build_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi-Gilbert G(n, p) from a seeded PCG64 stream.
 
@@ -231,18 +234,23 @@ def build_gnp(n: int, p: float, seed: int) -> Graph:
     probability p. Pairs are drawn in row order (all pairs with the
     smaller endpoint u, ascending v), one uniform each, from
     numpy.random.Generator(PCG64(seed)), so a seed reproduces the same
-    graph bit-exactly on any platform.
+    graph bit-exactly on any platform. The uniforms are drawn in fixed
+    chunks, which continue one stream exactly as a single long draw would,
+    and each hit's flat pair index is mapped back to its row and column.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - 1 - rows) // 2  # flat index of the pair (u, u+1)
+    total = n * (n - 1) // 2
     edges = []
-    for u in range(n - 1):
-        row = rng.random(n - 1 - u)
-        for off in np.flatnonzero(row < p):
-            edges.append((u, u + 1 + int(off)))
+    for base in range(0, total, _GNP_CHUNK):
+        hits = base + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - base)) < p)
+        u = np.searchsorted(starts, hits, side="right") - 1
+        edges.extend(zip(u.tolist(), (hits - starts[u] + u + 1).tolist()))
     return Graph(n, edges)
 
 

@@ -213,6 +213,14 @@ def _candidate_sets(
     least slots - (new colors left) - allowance unconstrained colors in
     [c, used).
 
+    A constraint is spent once the mask holds ``limit`` of its colors, and
+    the colors of a spent constraint are blocked. Each pick depth keeps a
+    frame with the mask, the blocked colors and the summed allowance on
+    entry. Picking old color c derives the child's from its frame: it
+    blocks each open constraint containing c that the new mask has spent,
+    and takes one unit of allowance per open constraint containing c.
+    Backtracking therefore undoes nothing.
+
     The picks form a depth-first search, run on an explicit stack. One
     node is one entry into it: the empty pick, each old-color pick that
     passes its constraint check, and each pick in the run of brand-new
@@ -224,9 +232,7 @@ def _candidate_sets(
     full = (1 << used) - 1
     # per old color: the open constraints (limit > 0) that one pick of it
     # draws on; colors in a spent constraint are blocked
-    draws: list[tuple[int, ...]] = [()] * used
-    remaining: list[int] = []
-    cmasks: list[int] = []
+    draws: list[tuple[tuple[int, int], ...]] = [()] * used
     constrained = blocked = allowance = 0
     for cmask, limit in constraints:
         constrained |= cmask
@@ -234,24 +240,23 @@ def _candidate_sets(
         if limit <= 0:
             blocked |= cmask
             continue
-        index = (len(remaining),)
-        remaining.append(limit)
-        cmasks.append(cmask)
+        entry = ((cmask, limit),)
         bits = cmask & full
         while bits:
             low = bits & -bits
-            draws[low.bit_length() - 1] += index
+            draws[low.bit_length() - 1] += entry
             bits ^= low
     free = full & ~constrained
     fresh = k - used  # brand-new colors still available
     nodes = meter.nodes
     stop = meter.limit
-    # one frame per pick depth: old colors left to try, mask so far,
-    # blocked colors on entry, and the color currently picked (-1: none)
+    # one frame per pick depth: old colors left to try, and the mask,
+    # blocked colors and summed allowance on entry; a pick derives its
+    # child's from these, so backtracking restores nothing
     cand_at = [0] * t
     mask_at = [0] * t
     blocked_at = [0] * t
-    color_at = [-1] * t
+    allow_at = [0] * t
     depth = lo = mask = 0
     while True:
         # enter a node: depth colors picked in mask, old colors >= lo left
@@ -286,30 +291,23 @@ def _candidate_sets(
             cand_at[depth] = cand
             mask_at[depth] = mask
             blocked_at[depth] = blocked
-            color_at[depth] = -1
+            allow_at[depth] = allowance
         else:
             depth -= 1
         # backtrack to the next untried pick, or finish frames on the way up
         while depth >= 0:
-            c = color_at[depth]
-            if c >= 0:
-                for i in draws[c]:
-                    remaining[i] += 1
-                allowance += len(draws[c])
-                blocked = blocked_at[depth]
             cand = cand_at[depth]
             if cand:
                 low = cand & -cand
                 cand_at[depth] = cand ^ low
                 c = low.bit_length() - 1
-                color_at[depth] = c
-                for i in draws[c]:
-                    remaining[i] -= 1
-                    if not remaining[i]:
-                        blocked |= cmasks[i]
-                allowance -= len(draws[c])
-                lo = c + 1
                 mask = mask_at[depth] | low
+                blocked = blocked_at[depth]
+                for cmask, limit in draws[c]:
+                    if (mask & cmask).bit_count() >= limit:  # now spent
+                        blocked |= cmask
+                allowance = allow_at[depth] - len(draws[c])
+                lo = c + 1
                 depth += 1
                 break
             # old colors done: the forced run of new colors used, used+1, ...

@@ -7,16 +7,26 @@ distances, a naive pair-scan verifier on sorted lists, an exact chromatic
 number by plain backtracking, queue-driven BFS for the search order and
 the components, and an isomorphism-class enumerator for small connected
 graphs.
+
+Two references keep earlier implementations of package code instead, for
+tests that require the current code to agree with them exactly:
+`gnp_by_rows`, the row-by-row G(n, p) sampler, and
+`counted_candidate_sets`, the candidate generator that counts each
+constraint's remaining allowance down on a pick and back up on
+backtrack. The latter shares the solver's `_Meter`, so node counts and
+budget stops can be compared node for node.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, permutations
+from typing import Optional
 
 import numpy as np
 
 from tonelab.graphs import Graph
+from tonelab.solver import _Meter
 
 
 def orthogonal(a_cells, b_cells) -> bool:
@@ -241,6 +251,18 @@ def trees_up_to_iso(n: int) -> list[Graph]:
     return out
 
 
+def gnp_by_rows(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) drawn one row of uniforms at a time from PCG64(seed): row u
+    holds the pairs (u, v), v > u, in ascending v."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    edges = []
+    for u in range(n - 1):
+        row = rng.random(n - 1 - u)
+        for off in np.flatnonzero(row < p):
+            edges.append((u, u + 1 + int(off)))
+    return Graph(n, edges)
+
+
 def random_graph(rng, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -274,3 +296,150 @@ def random_tree(rng, n: int, max_degree: int | None = None) -> Graph:
         degree[u] += 1
         degree[v] += 1
     return Graph(n, edges)
+
+
+def counted_candidate_sets(
+    k: int,
+    t: int,
+    used: int,
+    constraints: list[tuple[int, int]],
+    meter: Optional[_Meter] = None,
+):
+    """Yield valid t-subsets of {0..k-1} as bitmasks, lexicographically.
+
+    ``used`` colors have been introduced so far; by the introduce-in-order
+    rule they are exactly 0..used-1, and any new colors in the candidate
+    must be used, used+1, ... consecutively. Each yielded mask satisfies
+    popcount(mask & cmask) <= limit for every (cmask, limit) constraint,
+    where limits are non-negative and t >= 1. Constraint masks only contain
+    already-introduced colors, so brand-new picks never need a check.
+
+    Reachability pruning: every pick of a constrained color consumes at
+    least one unit of the summed remaining constraint allowance, so the
+    picks still obtainable from color c on are at most (unconstrained
+    colors in [c, used)) + min(summed allowance, constrained colors in
+    [c, used)) + (new colors left). That over-estimate never drops a valid
+    candidate but refutes a vertex whose remaining palette cannot reach t
+    in one step. Split at the min, the test becomes two upper ends on the
+    next old color c: c <= k - slots (enough colors left at all), and at
+    least slots - (new colors left) - allowance unconstrained colors in
+    [c, used).
+
+    The picks form a depth-first search, run on an explicit stack. One
+    node is one entry into it: the empty pick, each old-color pick that
+    passes its constraint check, and each pick in the run of brand-new
+    colors. ``meter`` counts nodes and enforces the budget; without one
+    the stream is uncounted and unlimited.
+    """
+    if meter is None:
+        meter = _Meter()
+    full = (1 << used) - 1
+    # per old color: the open constraints (limit > 0) that one pick of it
+    # draws on; colors in a spent constraint are blocked
+    draws: list[tuple[int, ...]] = [()] * used
+    remaining: list[int] = []
+    cmasks: list[int] = []
+    constrained = blocked = allowance = 0
+    for cmask, limit in constraints:
+        constrained |= cmask
+        allowance += limit
+        if limit <= 0:
+            blocked |= cmask
+            continue
+        index = (len(remaining),)
+        remaining.append(limit)
+        cmasks.append(cmask)
+        bits = cmask & full
+        while bits:
+            low = bits & -bits
+            draws[low.bit_length() - 1] += index
+            bits ^= low
+    free = full & ~constrained
+    fresh = k - used  # brand-new colors still available
+    nodes = meter.nodes
+    stop = meter.limit
+    # one frame per pick depth: old colors left to try, mask so far,
+    # blocked colors on entry, and the color currently picked (-1: none)
+    cand_at = [0] * t
+    mask_at = [0] * t
+    blocked_at = [0] * t
+    color_at = [-1] * t
+    depth = lo = mask = 0
+    while True:
+        # enter a node: depth colors picked in mask, old colors >= lo left
+        nodes += 1
+        if nodes > stop:
+            stop = meter.overrun(nodes)
+        slots = t - depth
+        end = k - slots + 1
+        short = slots - fresh - allowance  # unconstrained colors still needed
+        if short > 0:
+            # old colors end after the short-th highest unconstrained one
+            top_free = free
+            while short > 1 and top_free:
+                top_free ^= 1 << (top_free.bit_length() - 1)
+                short -= 1
+            if top_free.bit_length() < end:
+                end = top_free.bit_length()
+        if lo < end:
+            top = end if end < used else used
+            cand = ((1 << top) - 1) >> lo << lo & ~blocked
+            if slots == 1:  # every old candidate completes the set
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    nodes += 1
+                    if nodes > stop:
+                        stop = meter.overrun(nodes)
+                    meter.nodes = nodes
+                    yield mask | low
+                    nodes = meter.nodes
+                    stop = meter.limit
+            cand_at[depth] = cand
+            mask_at[depth] = mask
+            blocked_at[depth] = blocked
+            color_at[depth] = -1
+        else:
+            depth -= 1
+        # backtrack to the next untried pick, or finish frames on the way up
+        while depth >= 0:
+            c = color_at[depth]
+            if c >= 0:
+                for i in draws[c]:
+                    remaining[i] += 1
+                allowance += len(draws[c])
+                blocked = blocked_at[depth]
+            cand = cand_at[depth]
+            if cand:
+                low = cand & -cand
+                cand_at[depth] = cand ^ low
+                c = low.bit_length() - 1
+                color_at[depth] = c
+                for i in draws[c]:
+                    remaining[i] -= 1
+                    if not remaining[i]:
+                        blocked |= cmasks[i]
+                allowance -= len(draws[c])
+                lo = c + 1
+                mask = mask_at[depth] | low
+                depth += 1
+                break
+            # old colors done: the forced run of new colors used, used+1, ...
+            if fresh > 0:
+                slots = t - depth
+                if fresh >= slots:
+                    nodes += slots
+                    if nodes > stop:
+                        stop = meter.overrun(nodes)
+                    meter.nodes = nodes
+                    yield mask_at[depth] | ((1 << slots) - 1) << used
+                    nodes = meter.nodes
+                    stop = meter.limit
+                else:  # the run stops at its first pick
+                    nodes += 1
+                    if nodes > stop:
+                        stop = meter.overrun(nodes)
+            depth -= 1
+        else:
+            meter.nodes = nodes
+            return

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bfs_components, bfs_search_order, floyd_warshall, random_graph
+from oracles import bfs_components, bfs_search_order, floyd_warshall, gnp_by_rows, random_graph
 from tonelab.coloring import verify
 from tonelab.constructions import two_tone_via_decomposition
 from tonelab.graphs import (
@@ -168,6 +168,20 @@ def test_gnp_extremes_and_determinism():
     assert c.edges != a.edges
     with pytest.raises(ValueError):
         build_gnp(5, 1.5, 0)
+
+
+def test_gnp_chunked_draw_matches_row_by_row_draw():
+    from tonelab.graphs import _GNP_CHUNK
+
+    # the last n whose pairs fit in one chunk, the first that needs two,
+    # and one whose pairs span several chunk boundaries
+    over = next(n for n in range(2, 10**6) if n * (n - 1) // 2 > _GNP_CHUNK)
+    cases = [(n, p) for n in (1, 2, over - 1, over) for p in (0.0, 1.0, 0.01)]
+    cases += [(4 * over, 0.003), (2 * over, 0.5)]
+    for seed, (n, p) in enumerate(cases):
+        got, expect = build_gnp(n, p, seed), gnp_by_rows(n, p, seed)
+        assert got.n == expect.n and got.edges == expect.edges, (n, p)
+        assert list(got.edges) == list(expect.edges), (n, p)  # same insertion order
 
 
 def test_gnp_edge_count_within_four_sigma():

@@ -313,6 +313,47 @@ def test_candidate_generator_completeness():
         assert got == expect, (k, t, used, constraints)
 
 
+def test_candidate_generator_matches_counted_reference():
+    """Node for node, the generator agrees with the counter-and-undo
+    reference: the same sets in the same order, the same meter count after
+    every yield, and the same budget stop, one node past the cap."""
+    from oracles import counted_candidate_sets
+    from tonelab.solver import _BudgetExhausted, _candidate_sets, _Meter
+
+    def run(generate, k, t, used, constraints, cap):
+        meter = _Meter(SearchBudget(max_nodes=cap))
+        trail = []
+        try:
+            for mask in generate(k, t, used, list(constraints), meter):
+                trail.append((mask, meter.nodes))
+        except _BudgetExhausted:
+            assert meter.nodes == cap + 1
+            trail.append(("exhausted", meter.nodes))
+        else:
+            trail.append(("done", meter.nodes))
+        return trail
+
+    rng = random.Random(8)
+    stops = 0
+    for _ in range(600):
+        k = rng.randrange(1, 12)
+        t = rng.randrange(1, min(6, k) + 1)
+        used = rng.randrange(0, k + 1)
+        constraints = []
+        for _ in range(rng.randrange(0, 6)):
+            mask = 0
+            for c in rng.sample(range(used), rng.randrange(0, used + 1)):
+                mask |= 1 << c
+            constraints.append((mask, rng.randrange(0, t + 1)))
+        total = run(counted_candidate_sets, k, t, used, constraints, 10**9)[-1][1]
+        cap = rng.randrange(0, 2 * total + 2)
+        expect = run(counted_candidate_sets, k, t, used, constraints, cap)
+        got = run(_candidate_sets, k, t, used, constraints, cap)
+        assert got == expect, (k, t, used, constraints, cap)
+        stops += expect[-1][0] == "exhausted"
+    assert 100 < stops < 500
+
+
 def test_wall_clock_budget_times_out():
     # the 6-vertex extension of S_3 needs a few thousand nodes, so the
     # deadline check (every 1024 nodes) fires before the search can finish
