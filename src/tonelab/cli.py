@@ -116,13 +116,9 @@ def _budget(args) -> solver.SearchBudget:
 
 
 def cmd_verify(args) -> int:
-    try:
-        graph = load_graph(args.graph)
-        coloring = load_coloring(args.coloring)
-        report = verify(graph, coloring)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graph = load_graph(args.graph)
+    coloring = load_coloring(args.coloring)
+    report = verify(graph, coloring)
     if args.json:
         _emit(
             {
@@ -298,10 +294,11 @@ def cmd_bound(args) -> int:
 
 def _construct(args) -> tuple[Graph, ToneColoring, dict]:
     method = args.method
+    t = 2 if args.t is None else args.t
     info: dict = {"method": method}
     if method == "large-t":
         graph, name = _input_graph(args)
-        coloring = constructions.greedy_large_t_coloring(graph, args.t)
+        coloring = constructions.greedy_large_t_coloring(graph, t)
         info["instance"] = name
     elif method == "decomp2":
         graph, name = _input_graph(args)
@@ -322,25 +319,28 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
                 raise UsageError("family order does not match --n")
         else:
             family = mols.family_for_order(args.n)
-        coloring = constructions.mols_coloring_knn(family, args.t)
+        coloring = constructions.mols_coloring_knn(family, t)
         graph = cartesian_power(build_complete(args.n), 2)
         info.update(order=args.n, family_size=family.size)
     elif method == "star":
         if args.k is None:
             raise UsageError("--method star needs --k")
-        coloring = constructions.star_coloring(args.k, args.t)
+        coloring = constructions.star_coloring(args.k, t)
         graph = build_star(args.k)
         info["k"] = args.k
     elif method == "multipartite":
         if not args.parts:
             raise UsageError("--method multipartite needs --parts")
         parts = [int(x) for x in args.parts.split(",") if x]
-        coloring = constructions.multipartite_coloring(parts, args.t)
+        coloring = constructions.multipartite_coloring(parts, t)
         graph = build_complete_multipartite(parts)
         info["parts"] = parts
     elif method == "scheme":
         if not args.scheme:
             raise UsageError("--method scheme needs --scheme")
+        spec = constructions.resolve_scheme(args.scheme)
+        if args.t not in (None, spec.t):
+            raise UsageError(f"scheme {spec.name} is a {spec.t}-tone construction")
         depth = args.depth if args.depth is not None else 2
         coloring = constructions.tree_scheme_coloring(args.scheme, depth)
         graph = constructions.scheme_tree(args.scheme, depth)
@@ -351,11 +351,7 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
 
 
 def cmd_construct(args) -> int:
-    try:
-        graph, coloring, info = _construct(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graph, coloring, info = _construct(args)
     save_coloring(coloring, args.output)
     if args.emit_graph:
         save_graph(graph, args.emit_graph)
@@ -535,22 +531,18 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_mols(args) -> int:
-    try:
-        if args.prime is not None:
-            family = mols.prime_mols(args.prime)
-        elif args.order is not None:
-            family = mols.family_for_order(args.order)
-        elif args.check:
-            family = mols.load_family(args.check)
-        elif args.product:
-            family = mols.macneish_product(
-                mols.load_family(args.product[0]), mols.load_family(args.product[1])
-            )
-        else:
-            raise UsageError("choose one of --prime, --order, --check, --product")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.prime is not None:
+        family = mols.prime_mols(args.prime)
+    elif args.order is not None:
+        family = mols.family_for_order(args.order)
+    elif args.check:
+        family = mols.load_family(args.check)
+    elif args.product:
+        family = mols.macneish_product(
+            mols.load_family(args.product[0]), mols.load_family(args.product[1])
+        )
+    else:
+        raise UsageError("choose one of --prime, --order, --check, --product")
     if args.output:
         mols.save_family(family, args.output)
     payload = {
@@ -607,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph", nargs="?")
     p.add_argument("--family", nargs="+")
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=int, help="default 2; a scheme fixes its own t")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--parts")
@@ -650,7 +642,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError) as exc:  # OSError: an unreadable or unwritable path
+    # ValueError: malformed input; OSError: an unreadable or unwritable path
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bounds
 from .coloring import ToneColoring, verify
@@ -297,60 +297,144 @@ class SchemeSpec:
     palette: int
     root_set: tuple[int, ...]
     level1: tuple[tuple[int, ...], ...]
-    by_grandparent: bool  # children are produced per grandparent frame
+    rule: Callable[[TreeSchemeState, int], list[tuple[int, ...]]]  # child sets of v
 
 
-# Fixed seed tables for the root and first level; the recursions below
-# grow them level by level.
+def _rule_t4_3tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
+    """Frame: v and its parent. With v relabeled (123) and its parent
+    (456), the children read (478), (957), (968)."""
+    a = state.sets[v]
+    b = sorted(state.sets[state.parent[v]])
+    rest = sorted(set(range(state.spec.palette)) - a - set(b))
+    return [
+        (b[0], rest[0], rest[1]),
+        (rest[2], b[1], rest[0]),
+        (rest[2], b[2], rest[1]),
+    ]
+
+
+def _rule_t7_fano(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
+    """Frame: v and its parent. Relabel the canonical Fano plane so the
+    parent's set is a line over the 7 colors missing from v; the six
+    children take the other lines. The free points are filled in
+    lowest-available-index order."""
+    points = sorted(set(range(state.spec.palette)) - state.sets[v])
+    parent_line = sorted(state.sets[state.parent[v]])
+    phi = {1: parent_line[0], 2: parent_line[1], 4: parent_line[2]}
+    free = [p for p in points if p not in parent_line]
+    for canon, actual in zip((3, 5, 6, 7), free):
+        phi[canon] = actual
+    return [tuple(sorted(phi[x] for x in line)) for line in CANONICAL_FANO[1:]]
+
+
+def _parent_frame(state: TreeSchemeState, v: int) -> list[int]:
+    """N(p) for v's parent p: p's children, then p's parent unless p is
+    the root."""
+    p = state.parent[v]
+    return state.children[p] + ([state.parent[p]] if p else [])
+
+
+def _rule_t3_4tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
+    """Frame: N(p) for v's parent p. Each frame member shares one color
+    with each other member and keeps two colors private to the frame. The
+    two children of v reuse p's two lowest colors, the privates of the
+    other members j and l, and the color j and l share.
+    """
+    frame = _parent_frame(state, v)
+    a = sorted(state.sets[state.parent[v]])
+    j, l = [u for u in frame if u != v]
+    c_jl = state.shared_color(j, l)
+    cp_j = state.private_colors(j, [u for u in frame if u != j])
+    cp_l = state.private_colors(l, [u for u in frame if u != l])
+    if len(cp_j) != 2 or len(cp_l) != 2:
+        raise AssertionError("frame member should keep exactly two private colors")
+    return [
+        (a[0], cp_j[0], cp_l[0], c_jl),
+        (a[1], cp_j[1], cp_l[1], c_jl),
+    ]
+
+
+def _rule_t4_4tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
+    """Frame: N(p) for v's parent p, with v as member k. Follows the
+    scheme's cyclic triple pattern over members k+1, k+2, k+3 (modulo 4).
+    a_m is p's m-th smallest color, c(s, j) the unique color shared by
+    members s and j, cp(s) the color s shares with no other member.
+    """
+    frame = _parent_frame(state, v)
+    k = frame.index(v)
+    a = sorted(state.sets[state.parent[v]])
+
+    def c(s: int, j: int) -> int:
+        return state.shared_color(frame[s], frame[j])
+
+    def cp(s: int) -> int:
+        priv = state.private_colors(frame[s], [u for u in frame if u != frame[s]])
+        if len(priv) != 1:
+            raise AssertionError("frame member should keep exactly one private color")
+        return priv[0]
+
+    k1, k2, k3 = (k + 1) % 4, (k + 2) % 4, (k + 3) % 4
+    return [
+        (a[k1], c(k1, k2), c(k2, k3), cp(k3)),
+        (a[k2], c(k3, k2), c(k1, k3), cp(k1)),
+        (a[k3], c(k3, k1), c(k1, k2), cp(k2)),
+    ]
+
+
+# Fixed seed tables for the root and first level; each scheme's rule
+# colors the children of every deeper vertex.
 SCHEMES: dict[str, SchemeSpec] = {
-    # 9 colors for the 4-regular tree at t=3.
-    "T4_3tone": SchemeSpec(
-        "T4_3tone",
-        arity=4,
-        t=3,
-        palette=9,
-        root_set=(0, 1, 2),
-        level1=((3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)),
-        by_grandparent=False,
-    ),
-    # 10 colors for the 7-regular tree at t=3, recursing through Fano lines.
-    "T7_3tone_fano": SchemeSpec(
-        "T7_3tone_fano",
-        arity=7,
-        t=3,
-        palette=10,
-        root_set=(1, 2, 3),
-        level1=(
-            (4, 5, 6),
-            (4, 7, 8),
-            (5, 7, 9),
-            (6, 8, 9),
-            (0, 5, 8),
-            (0, 6, 7),
-            (0, 4, 9),
+    spec.name: spec
+    for spec in (
+        # 9 colors for the 4-regular tree at t=3.
+        SchemeSpec(
+            "T4_3tone",
+            arity=4,
+            t=3,
+            palette=9,
+            root_set=(0, 1, 2),
+            level1=((3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)),
+            rule=_rule_t4_3tone,
         ),
-        by_grandparent=False,
-    ),
-    # 13 colors for the 3-regular tree at t=4.
-    "T3_4tone": SchemeSpec(
-        "T3_4tone",
-        arity=3,
-        t=4,
-        palette=13,
-        root_set=(1, 2, 3, 4),
-        level1=((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12)),
-        by_grandparent=True,
-    ),
-    # 14 colors for the 4-regular tree at t=4.
-    "T4_4tone": SchemeSpec(
-        "T4_4tone",
-        arity=4,
-        t=4,
-        palette=14,
-        root_set=(1, 2, 3, 4),
-        level1=((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12), (0, 7, 11, 13)),
-        by_grandparent=True,
-    ),
+        # 10 colors for the 7-regular tree at t=3, recursing through Fano lines.
+        SchemeSpec(
+            "T7_3tone_fano",
+            arity=7,
+            t=3,
+            palette=10,
+            root_set=(1, 2, 3),
+            level1=(
+                (4, 5, 6),
+                (4, 7, 8),
+                (5, 7, 9),
+                (6, 8, 9),
+                (0, 5, 8),
+                (0, 6, 7),
+                (0, 4, 9),
+            ),
+            rule=_rule_t7_fano,
+        ),
+        # 13 colors for the 3-regular tree at t=4.
+        SchemeSpec(
+            "T3_4tone",
+            arity=3,
+            t=4,
+            palette=13,
+            root_set=(1, 2, 3, 4),
+            level1=((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12)),
+            rule=_rule_t3_4tone,
+        ),
+        # 14 colors for the 4-regular tree at t=4.
+        SchemeSpec(
+            "T4_4tone",
+            arity=4,
+            t=4,
+            palette=14,
+            root_set=(1, 2, 3, 4),
+            level1=((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12), (0, 7, 11, 13)),
+            rule=_rule_t4_4tone,
+        ),
+    )
 }
 
 #: Accepted aliases for scheme lookups (CLI convenience).
@@ -372,7 +456,7 @@ def scheme_tree(name: str, depth: int) -> Graph:
 
 @dataclass
 class TreeSchemeState:
-    """Bookkeeping while growing a scheme coloring level by level.
+    """Bookkeeping while growing a scheme coloring vertex by vertex.
 
     All shared-color and private-color records are computed from the sets
     actually assigned so far, so they cannot drift out of sync.
@@ -418,107 +502,16 @@ def _tree_structure(graph: Graph) -> tuple[list[int], list[list[int]]]:
     return parent, children
 
 
-def _children_t4_3tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
-    """Child pattern in frame terms: with v relabeled (123) and its
-    parent (456), the children read (478), (957), (968)."""
-    a = state.sets[v]
-    b = sorted(state.sets[state.parent[v]])
-    rest = sorted(set(range(state.spec.palette)) - a - set(b))
-    return [
-        (b[0], rest[0], rest[1]),
-        (rest[2], b[1], rest[0]),
-        (rest[2], b[2], rest[1]),
-    ]
-
-
-def _children_t7_fano(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
-    """Relabel the canonical Fano plane so the parent's set is a line over
-    the 7 colors missing from v; the six children take the other lines.
-    The free points are filled in lowest-available-index order."""
-    points = sorted(set(range(state.spec.palette)) - state.sets[v])
-    parent_line = sorted(state.sets[state.parent[v]])
-    phi = {1: parent_line[0], 2: parent_line[1], 4: parent_line[2]}
-    free = [p for p in points if p not in parent_line]
-    for canon, actual in zip((3, 5, 6, 7), free):
-        phi[canon] = actual
-    return [tuple(sorted(phi[x] for x in line)) for line in CANONICAL_FANO[1:]]
-
-
-def _frame_t3_4tone(
-    state: TreeSchemeState, v: int, frame: list[int]
-) -> dict[int, list[tuple[int, ...]]]:
-    """Grandchild sets around v for the 3-regular 4-tone scheme.
-
-    frame lists N(v); each frame vertex shares one color with each other
-    (its c records) and keeps two colors private to the frame. The two
-    children of u_k reuse v's two lowest colors, the privates of the other
-    frame members, and their mutual shared color.
-    """
-    a = sorted(state.sets[v])
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for k, u in enumerate(frame):
-        # Only v's own children get new grandchildren here: the frame may
-        # also contain v's parent, whose children are already colored.
-        if u < v or not state.children[u]:
-            continue
-        j, l = [x for x in range(len(frame)) if x != k]
-        c_jl = state.shared_color(frame[j], frame[l])
-        cp_j = state.private_colors(frame[j], [frame[i] for i in range(3) if i != j])
-        cp_l = state.private_colors(frame[l], [frame[i] for i in range(3) if i != l])
-        if len(cp_j) != 2 or len(cp_l) != 2:
-            raise AssertionError("frame member should keep exactly two private colors")
-        out[u] = [
-            (a[0], cp_j[0], cp_l[0], c_jl),
-            (a[1], cp_j[1], cp_l[1], c_jl),
-        ]
-    return out
-
-
-def _frame_t4_4tone(
-    state: TreeSchemeState, v: int, frame: list[int]
-) -> dict[int, list[tuple[int, ...]]]:
-    """Grandchild sets around v for the 4-regular 4-tone scheme.
-
-    Follows the scheme's cyclic triple pattern with frame indices taken
-    modulo 4; residue 0 maps to 4. a_m is v's m-th smallest color, c[s][j]
-    the unique color shared by frame members s and j, cp[s] the color
-    member s shares with no other frame member.
-    """
-    a = sorted(state.sets[v])
-    c: dict[tuple[int, int], int] = {}
-    cp: dict[int, int] = {}
-    for s in range(4):
-        for j in range(s + 1, 4):
-            c[(s, j)] = c[(j, s)] = state.shared_color(frame[s], frame[j])
-        priv = state.private_colors(frame[s], [frame[i] for i in range(4) if i != s])
-        if len(priv) != 1:
-            raise AssertionError("frame member should keep exactly one private color")
-        cp[s] = priv[0]
-
-    def idx(m: int) -> int:
-        return (m - 1) % 4  # 0-based frame index; residue 0 wraps to member 4
-
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for k0, u in enumerate(frame):
-        if u < v or not state.children[u]:
-            continue
-        k = k0 + 1
-        k1, k2, k3 = idx(k + 1), idx(k + 2), idx(k + 3)
-        out[u] = [
-            (a[k1], c[(k1, k2)], c[(k2, k3)], cp[k3]),
-            (a[k2], c[(k3, k2)], c[(k1, k3)], cp[k1]),
-            (a[k3], c[(k3, k1)], c[(k1, k2)], cp[k2]),
-        ]
-    return out
-
-
 def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
     """Reproduce a scheme's inductive coloring on the depth-truncated tree.
 
-    The root and first level come from the fixed seed tables; deeper
-    levels follow each scheme's recursion. The output is verified before return,
-    so a failure here means the recursion itself broke down rather than a
-    silent bad coloring.
+    The root and its children come from the fixed seed tables; the rule
+    then colors the children of each deeper vertex v in index order. The
+    rule reads v, its parent, grandparent and siblings. The tree is
+    numbered in BFS order, so all of them are colored by then: the
+    siblings with v, by their parent. The output is verified before
+    return, so a failure here means the recursion itself broke down rather
+    than a silent bad coloring.
     """
     spec = resolve_scheme(name)
     if depth < 0:
@@ -527,35 +520,11 @@ def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
     parent, children = _tree_structure(graph)
     state = TreeSchemeState(spec, parent, children, [None] * graph.n)
     state.assign(0, spec.root_set)
-    levels: list[list[int]] = [[0]]
-    while True:
-        nxt = [c for v in levels[-1] for c in children[v]]
-        if not nxt:
-            break
-        levels.append(nxt)
-    if depth >= 1:
-        for v, colors in zip(levels[1], spec.level1):
-            state.assign(v, colors)
-    if spec.by_grandparent:
-        # Level m is colored from frames around each vertex of level m-2:
-        # the frame is that vertex's children plus, past the root, its
-        # parent (which is exactly the neighborhood).
-        for m in range(2, depth + 1):
-            for v in levels[m - 2]:
-                frame = list(children[v]) + ([parent[v]] if parent[v] >= 0 else [])
-                produce = (
-                    _frame_t3_4tone if spec.name == "T3_4tone" else _frame_t4_4tone
-                )
-                for u, sets in produce(state, v, frame).items():
-                    for child, colors in zip(children[u], sets):
-                        state.assign(child, colors)
-    else:
-        for m in range(2, depth + 1):
-            for v in levels[m - 1]:
-                rule = (
-                    _children_t4_3tone if spec.name == "T4_3tone" else _children_t7_fano
-                )
-                for child, colors in zip(children[v], rule(state, v)):
-                    state.assign(child, colors)
+    for child, colors in zip(children[0], spec.level1):
+        state.assign(child, colors)
+    for v in range(1, graph.n):
+        if children[v]:
+            for child, colors in zip(children[v], spec.rule(state, v)):
+                state.assign(child, colors)
     rows = [sorted(s) for s in state.sets]
     return _checked(graph, ToneColoring(spec.t, spec.palette, rows))

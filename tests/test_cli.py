@@ -220,6 +220,18 @@ def test_construct_scheme(tmp_path, capsys):
     assert "colors_used: 10" in capsys.readouterr().out
 
 
+def test_construct_scheme_t_must_match_the_scheme(tmp_path, capsys):
+    cpath = tmp_path / "t.col"
+    common = ["construct", "--method", "scheme", "--depth", "2", "-o", str(cpath)]
+    assert run_main(*common, "--scheme", "T4_3tone", "--t", "4") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3-tone" in captured.err
+    assert not cpath.exists()
+    assert run_main(*common, "--scheme", "T7_3tone", "--t", "3") == 0
+    assert load_coloring(cpath) == constructions.tree_scheme_coloring("T7_3tone", 2)
+
+
 def test_construct_large_t_star(tmp_path, capsys):
     cpath = tmp_path / "s3.col"
     code = run_main(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 
 from oracles import bfs_search_order, floyd_warshall, random_graph, random_tree
 from tonelab.bounds import degree_lower_bound, distance_deficiency, tree2tone_formula
-from tonelab.coloring import colors_used, verify
+from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import (
     SCHEMES,
     greedy_heuristic_climb,
@@ -300,6 +301,40 @@ def test_scheme_seed_tables_pinned():
         {3, 6, 5, 10},
     ]
     assert [set(row) for row in col.assignment[5:]] == expected
+
+
+# SHA-256 of format_coloring(tree_scheme_coloring(name, d)) for d = 3, 4, 5,
+# recorded from the level-by-level recursion that the index-order loop replaced.
+SCHEME_DIGESTS = {
+    "T4_3tone": (
+        "0b1aba7aacd93f5bf408bd2c6365d766f40328c4dc716e2af9dc54b911774b97",
+        "20133342fb2ab7dea36e818c1c4974b92b32618e530d94b56cf456ad2af86ab6",
+        "c3197d508b37e3865f32917fc4d32cc7c771f63649daf9a6ff3da53350fb1efb",
+    ),
+    "T7_3tone_fano": (
+        "1418ec3932c1e3c2473db25936ea86dbc1e0be33d675b52e198fff09e0cebccb",
+        "453192be1c305c2bf568322846853894e0e6286f70e8174e5b91c5c3eb157400",
+        "fb93e41ddd30c7b588fda145ebb4d36bc37d8f9b060fe806235dd66b84b752ed",
+    ),
+    "T3_4tone": (
+        "3f3eeb5c22abf4592244fa939d5abd2bdd2249739684ee931cb23979272c5b57",
+        "efccfa45fb7a2f27529eeb7eb7c483270f6bbf065518f38d54e34bf55c1d39da",
+        "55a10cf6f8f65dd1fa2fa5bc81ddf2e41735d6ece157b5b93566072d2b517427",
+    ),
+    "T4_4tone": (
+        "f41cde9f5d9c40ce7f0d59fc83168fa3db569d9f6bcef72826ba2991b4db6417",
+        "5ae9375e1470e86897238c46232e8984b723ab9fa8281aedd7b522764f817aee",
+        "d078969bb1fdba8171275f2b08b8c243939696db3607298617d5d63b654e9112",
+    ),
+}
+
+
+def test_scheme_colorings_pinned_past_depth_two():
+    assert set(SCHEME_DIGESTS) == set(SCHEMES)
+    for name, digests in SCHEME_DIGESTS.items():
+        for depth, digest in zip((3, 4, 5), digests):
+            text = format_coloring(tree_scheme_coloring(name, depth))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, depth)
 
 
 def test_schemes_verify_at_all_depths():
