@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Graph, distance_ball, is_connected
+from .graphs import Graph, distance_ball
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,17 @@ def degree_lower_bound(delta: int, t: int) -> int:
     return ceil_half_sum_sqrt(2 * t + 1, 1 + 4 * t * (t - 1) * delta)
 
 
+def degree_bound(delta: int, t: int) -> Optional[int]:
+    """degree_lower_bound where it applies (t >= 2 and an edge), else None.
+
+    The one place that decides when the degree bound applies; a caller
+    that needs a number falls back to the trivial bound with `or t`.
+    """
+    if t >= 2 and delta >= 1:
+        return degree_lower_bound(delta, t)
+    return None
+
+
 def tree2tone_formula(delta: int) -> int:
     """Exact 2-tone chromatic number of any tree with max degree delta."""
     if delta < 1:
@@ -84,11 +95,10 @@ def distance_deficiency(graph: Graph) -> tuple[int, int]:
 
 
 def pairsum_bound(graph: Graph, t: int) -> BoundReport:
-    """tn minus the pair deficiency; exact once t >= (n-1)(D-1)."""
+    """tn minus the pair deficiency of a connected graph; exact once
+    t >= (n-1)(D-1). distance_deficiency raises on a disconnected graph."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not is_connected(graph):
-        raise ValueError("pairsum bound requires a connected graph")
     deficiency, diameter = distance_deficiency(graph)
     value = t * graph.n - deficiency
     threshold = (graph.n - 1) * (diameter - 1)

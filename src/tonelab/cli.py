@@ -33,7 +33,6 @@ from .graphs import (
     build_truncated_regular_tree,
     cartesian_power,
     connected_components,
-    is_connected,
     load_graph,
     save_graph,
 )
@@ -48,9 +47,8 @@ class UsageError(Exception):
     pass
 
 
-def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True))
 
 
 def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
@@ -125,8 +123,7 @@ def cmd_verify(args) -> int:
                 "valid": report.valid,
                 "colors_used": report.colors_used,
                 "violations": [list(v) for v in report.violations],
-            },
-            True,
+            }
         )
     else:
         print(f"valid: {report.valid}")
@@ -164,7 +161,7 @@ def cmd_solve(args) -> int:
                 fh.write(sat_export.encode_decision_cnf(graph, args.t, k))
             written.append(f"cnf for k={k} written to {args.emit_cnf}")
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         if outcome.status == solver.EXACT:
             print(f"exact {outcome.value}")
@@ -176,55 +173,29 @@ def cmd_solve(args) -> int:
     return EXIT_OK if outcome.status == solver.EXACT else EXIT_BUDGET
 
 
-def _is_tree(graph: Graph) -> bool:
-    return graph.n >= 1 and graph.m == graph.n - 1 and is_connected(graph)
-
-
-def _is_path(graph: Graph) -> bool:
-    if graph.n == 1:
-        return True
-    degs = sorted(graph.degrees)
-    return _is_tree(graph) and degs[-1] <= 2
-
-
-def _star_leaves(graph: Graph) -> int | None:
-    if graph.n >= 2 and _is_tree(graph) and graph.max_degree == graph.n - 1:
-        return graph.n - 1
-    return None
-
-
 def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dict]:
-    """One row per formula: source, kind, value, applicability note."""
-    rows: list[dict] = []
+    """One row per formula: source, kind, value, applicability note.
+
+    The pairsum row takes the max over the components' reports and is
+    exact only when every component's report is: a larger tau_t on a
+    component whose equality hypothesis fails would lift the max. The
+    path, tree and star rows need one component with n - 1 edges.
+    """
     delta = graph.max_degree
-    if t >= 2 and delta >= 1:
-        rows.append(
-            {
-                "source": "degree",
-                "kind": "lower",
-                "value": bounds.degree_lower_bound(delta, t),
-                "note": f"max degree {delta}",
-            }
-        )
-    else:
-        rows.append(
-            {
-                "source": "degree",
-                "kind": "lower",
-                "value": None,
-                "note": "needs t >= 2 and an edge",
-            }
-        )
+    degree = bounds.degree_bound(delta, t)
+    note = "needs t >= 2 and an edge" if degree is None else f"max degree {delta}"
+    rows = [{"source": "degree", "kind": "lower", "value": degree, "note": note}]
     comps = connected_components(graph)
     per_comp = [bounds.pairsum_bound(graph.induced_subgraph(c), t) for c in comps]
     best = max(per_comp, key=lambda r: r.value)
-    note = best.reason or "equality hypothesis holds"
+    kind, note = best.kind, best.reason or "equality hypothesis holds"
+    if kind == "exact" and any(r.kind != "exact" for r in per_comp):
+        kind, note = "lower", "equality fails on another component"
     if len(comps) > 1:
         note += f"; max over {len(comps)} components"
-    rows.append(
-        {"source": "pairsum", "kind": best.kind, "value": best.value, "note": note}
-    )
-    if _is_path(graph):
+    rows.append({"source": "pairsum", "kind": kind, "value": best.value, "note": note})
+    tree = len(comps) == 1 and graph.m == graph.n - 1
+    if tree and delta <= 2:
         rows.append(
             {
                 "source": "path_formula",
@@ -233,7 +204,7 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
                 "note": f"path on {graph.n} vertices",
             }
         )
-    if t == 2 and _is_tree(graph) and delta >= 1:
+    if t == 2 and tree and delta >= 1:
         rows.append(
             {
                 "source": "tree_2tone",
@@ -242,9 +213,8 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
                 "note": "tree formula",
             }
         )
-    k = _star_leaves(graph)
-    if k is not None:
-        rep = bounds.star_formula(k, t)
+    if tree and delta == graph.n - 1 >= 1:
+        rep = bounds.star_formula(delta, t)
         rows.append(
             {
                 "source": "star_formula",
@@ -283,7 +253,7 @@ def cmd_bound(args) -> int:
         parts = [int(x) for x in args.family[1].split(",") if x]
     rows = bound_rows(graph, args.t, parts)
     if args.json:
-        _emit({"instance": name, "t": args.t, "bounds": rows}, True)
+        _emit({"instance": name, "t": args.t, "bounds": rows})
     else:
         print(f"bounds for {name} at t={args.t}")
         for row in rows:
@@ -357,7 +327,7 @@ def cmd_construct(args) -> int:
         save_graph(graph, args.emit_graph)
     info["colors_used"] = used = colors_used(coloring)
     if args.json:
-        _emit(info, True)
+        _emit(info)
     else:
         print(f"colors_used: {used}")
         print(f"coloring written to {args.output}")
@@ -458,7 +428,7 @@ def _reproduce_table(table: str, as_json: bool) -> int:
     rows = _reproduce_rows(table)
     ok = all(r["expected"] == r["computed"] for r in rows)
     if as_json:
-        _emit({"table": table, "rows": rows, "pass": ok}, True)
+        _emit({"table": table, "rows": rows, "pass": ok})
     else:
         width = max(len(r["case"]) for r in rows)
         for r in rows:
@@ -474,20 +444,14 @@ def _reproduce_table(table: str, as_json: bool) -> int:
 def _experiment_row(n: int, c: float, seed: int, t: int) -> dict:
     graph = build_gnp(n, c / n, seed)
     delta = graph.max_degree
-    lower = (
-        bounds.degree_lower_bound(delta, t) if delta >= 1 and t >= 2 else t
-    )
+    degree = bounds.degree_bound(delta, t)
     heuristic_colors = colors_used(constructions.greedy_heuristic_climb(graph, t))
     decomp_colors = None
     if t == 2:
         decomp, _ = constructions.two_tone_via_decomposition(graph)
         decomp_colors = colors_used(decomp)
     upper = min(x for x in (heuristic_colors, decomp_colors) if x is not None)
-    ratio = (
-        round(upper / math.sqrt(t * (t - 1) * delta), 6)
-        if delta >= 1 and t >= 2
-        else None
-    )
+    ratio = round(upper / math.sqrt(t * (t - 1) * delta), 6) if degree else None
     return {
         "n": n,
         "c": c,
@@ -495,7 +459,7 @@ def _experiment_row(n: int, c: float, seed: int, t: int) -> dict:
         "t": t,
         "edges": graph.m,
         "max_degree": delta,
-        "lower": lower,
+        "lower": degree or t,
         "greedy_upper": heuristic_colors,
         "decomp_upper": decomp_colors,
         "upper": upper,
@@ -521,7 +485,7 @@ def cmd_experiment(args) -> int:
     for k in range(args.seeds):
         row = _experiment_row(n, c, seed + k, args.t)
         if args.json:
-            _emit(row, True)
+            _emit(row)
         else:
             if k:
                 print()
@@ -552,7 +516,7 @@ def cmd_mols(args) -> int:
         "beth_floor": mols.beth_lower_bound(family.n),
     }
     if args.json:
-        _emit(payload, True)
+        _emit(payload)
     else:
         print(f"order {family.n}, {family.size} mutually orthogonal squares (verified)")
         print(f"theoretical family-size floor for this order: {payload['beth_floor']}")

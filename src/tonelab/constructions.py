@@ -25,7 +25,6 @@ from .graphs import (
     build_truncated_regular_tree,
     cartesian_power,
     distance_ball,
-    is_connected,
 )
 from .mols import MolsFamily
 from .solver import SearchBudget, _candidate_sets, _prepare, _witness_from, tau_exact
@@ -48,17 +47,12 @@ def greedy_large_t_coloring(graph: Graph, t: int) -> ToneColoring:
     Needs t >= (n-1)(D-1) so every earlier vertex still owns enough
     private colors; under that hypothesis the palette comes out at
     exactly t*n minus the summed pair deficiencies, which is optimal.
+    bounds.pairsum_bound decides the hypothesis (and raises on t < 1 or a
+    disconnected graph); a report that is not exact raises its reason.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not is_connected(graph):
-        raise ValueError("construction requires a connected graph")
-    _, diameter = bounds.distance_deficiency(graph)
-    threshold = (graph.n - 1) * (diameter - 1)
-    if t < threshold:
-        raise ValueError(
-            f"hypothesis fails: t={t} but the construction requires t >= {threshold}"
-        )
+    report = bounds.pairsum_bound(graph, t)
+    if report.kind != "exact":
+        raise ValueError(f"hypothesis fails at t={t}: {report.reason}")
     unique_of: list[list[int]] = []
     rows: list[list[int]] = []
     next_fresh = 0
@@ -149,9 +143,8 @@ def two_tone_via_decomposition(
         sub = Graph(len(members), sub_edges)
         sub_color = greedy_proper_coloring(sub)
         m_i = max(sub_color) + 1
+        # s = ceil(sqrt(2 m_i)) gives C(s+1, 2) >= s^2/2 >= m_i pairs
         size = 1 + _iceil_sqrt(2 * m_i)
-        while math.comb(size, 2) < m_i:
-            size += 1
         pairs = list(combinations(range(size), 2))
         for idx, v in enumerate(members):
             a, b = pairs[sub_color[idx]]
@@ -251,8 +244,7 @@ def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
     are prepared once and shared by every cap tried.
     """
     prep = _prepare(graph, t)
-    delta = graph.max_degree
-    cap = bounds.degree_lower_bound(delta, t) if delta >= 1 and t >= 2 else t
+    cap = bounds.degree_bound(graph.max_degree, t) or t
     while True:
         coloring = _greedy(graph, prep, t, cap)
         if coloring is not None:

@@ -453,9 +453,7 @@ def starting_lower_bound(graph: Graph, t: int) -> int:
     is no better than the best bound so far the component is skipped
     without building its induced subgraph.
     """
-    best = t if graph.n else 0
-    if graph.n and graph.max_degree >= 1 and t >= 2:
-        best = max(best, bounds.degree_lower_bound(graph.max_degree, t))
+    best = (bounds.degree_bound(graph.max_degree, t) or t) if graph.n else 0
     degrees = graph.degrees
     for comp in connected_components(graph):
         n_c = len(comp)

@@ -8,10 +8,12 @@ number by plain backtracking, queue-driven BFS for the search order and
 the components, and an isomorphism-class enumerator for small connected
 graphs.
 
-Two references keep earlier implementations of package code instead, for
-tests that require the current code to agree with them exactly:
-`gnp_by_rows`, the row-by-row G(n, p) sampler, and
-`counted_candidate_sets`, the candidate generator that counts each
+Some references keep earlier implementations of package code instead,
+for tests that require the current code to agree with them exactly:
+`gnp_by_rows`, the row-by-row G(n, p) sampler; `is_tree`, `is_path` and
+`star_leaves`, the shape tests the CLI's bound table used before it read
+the shape from its component list (here on the queue-driven components);
+and `counted_candidate_sets`, the candidate generator that counts each
 constraint's remaining allowance down on a pick and back up on
 backtrack. The latter shares the solver's `_Meter`, so node counts and
 budget stops can be compared node for node.
@@ -93,6 +95,23 @@ def bfs_components(graph: Graph) -> list[list[int]]:
                     queue.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def is_tree(graph: Graph) -> bool:
+    return graph.n >= 1 and graph.m == graph.n - 1 and len(bfs_components(graph)) == 1
+
+
+def is_path(graph: Graph) -> bool:
+    if graph.n == 1:
+        return True
+    return is_tree(graph) and max(graph.degrees) <= 2
+
+
+def star_leaves(graph: Graph) -> Optional[int]:
+    """The leaf count of a star on at least two vertices, else None."""
+    if graph.n >= 2 and is_tree(graph) and max(graph.degrees) == graph.n - 1:
+        return graph.n - 1
+    return None
 
 
 def sorted_intersection_size(a, b) -> int:

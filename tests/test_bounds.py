@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tonelab.bounds import (
     ceil_half_sum_sqrt,
+    degree_bound,
     degree_lower_bound,
     distance_deficiency,
     min_palette_for_pairs,
@@ -33,6 +34,13 @@ def test_degree_lower_bound_values():
         degree_lower_bound(3, 1)
     with pytest.raises(ValueError):
         degree_lower_bound(0, 2)
+
+
+def test_degree_bound_applies_exactly_where_the_old_guard_did():
+    for delta in range(61):
+        for t in range(1, 9):
+            old = degree_lower_bound(delta, t) if t >= 2 and delta >= 1 else None
+            assert degree_bound(delta, t) == old, (delta, t)
 
 
 @given(st.integers(1, 10**6), st.integers(2, 50))

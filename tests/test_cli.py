@@ -1,14 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import product
 
 import pytest
+from oracles import bfs_components, is_path, is_tree, random_graph, random_tree, star_leaves
 
-from tonelab import cli, constructions, solver
+from tonelab import bounds, cli, constructions, solver
 from tonelab.coloring import load_coloring, save_coloring, ToneColoring, verify
-from tonelab.graphs import build_path, build_star, save_graph
+from tonelab.graphs import Graph, build_path, build_star, save_graph
 from tonelab.solver import tau_exact
 
 
@@ -162,6 +164,78 @@ def test_bound_graph_file(tmp_path, capsys):
     assert run_main("bound", str(gpath), "--t", "2") == 0
     out = capsys.readouterr().out
     assert "tree_2tone" in out and "star_formula" in out
+
+
+def test_bound_pairsum_exact_only_when_every_component_is(tmp_path, capsys):
+    # K_3 + S_5 at t = 3: K_3's pairsum 9 is exact, S_5's 8 is only a lower
+    # bound, and tau_3(S_5) = 10 lifts the union above 9
+    gpath = tmp_path / "k3_s5.gr"
+    gpath.write_text("9 8\n0 1\n0 2\n1 2\n3 4\n3 5\n3 6\n3 7\n3 8\n")
+    assert run_main("bound", str(gpath), "--t", "3", "--json") == 0
+    rows = {r["source"]: r for r in json.loads(capsys.readouterr().out)["bounds"]}
+    assert rows["pairsum"] == {
+        "source": "pairsum",
+        "kind": "lower",
+        "value": 9,
+        "note": "equality fails on another component; max over 2 components",
+    }
+    assert tau_exact(build_star(5), 3).value == 10
+    gpath.write_text("6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+    assert run_main("bound", str(gpath), "--t", "3", "--json") == 0
+    rows = {r["source"]: r for r in json.loads(capsys.readouterr().out)["bounds"]}
+    assert rows["pairsum"]["kind"] == "exact"
+    assert rows["pairsum"]["note"] == "equality hypothesis holds; max over 2 components"
+
+
+BOUND_FAMILIES = [
+    ["path", "1"], ["path", "2"], ["path", "6"], ["star", "1"], ["star", "3"],
+    ["star", "5"], ["tree", "2", "0"], ["tree", "3", "2"], ["complete", "4"],
+    ["multipartite", "3"], ["multipartite", "4,4"], ["hypercube", "3"],
+]
+
+
+def _bound_graphs() -> list[Graph]:
+    graphs = [cli.resolve_family(tokens)[0] for tokens in BOUND_FAMILIES]
+    rng = random.Random(10)
+    for i in range(160):
+        n = 1 + i % 11
+        if i % 4 == 3:
+            tree = random_tree(rng, n)
+            graphs.append(Graph(n + 2, sorted(tree.edges) + [(n, n + 1)]))  # tree + K_2
+        elif i % 4 == 2:
+            graphs.append(random_tree(rng, n))
+        else:
+            graphs.append(random_graph(rng, n, rng.choice([0.15, 0.3, 0.6])))
+    return graphs
+
+
+def test_bound_rows_match_the_reference_shape_tests():
+    disconnected = 0
+    for graph in _bound_graphs():
+        comps = bfs_components(graph)
+        disconnected += len(comps) > 1
+        delta = max(graph.degrees)
+        for t in (1, 2, 3, 6):
+            rows = {r["source"]: r for r in cli.bound_rows(graph, t)}
+            # the inline guard the CLI and the solver used before degree_bound
+            old = bounds.degree_lower_bound(delta, t) if t >= 2 and delta >= 1 else None
+            assert rows["degree"]["value"] == old
+            reports = [bounds.pairsum_bound(graph.induced_subgraph(c), t) for c in comps]
+            assert rows["pairsum"]["value"] == max(r.value for r in reports)
+            all_exact = all(r.kind == "exact" for r in reports)
+            assert rows["pairsum"]["kind"] == ("exact" if all_exact else "lower")
+            expected = {"degree", "pairsum"}
+            if is_path(graph):
+                expected.add("path_formula")
+                assert rows["path_formula"]["value"] == bounds.path_formula(graph.n, t)
+            if t == 2 and is_tree(graph) and delta >= 1:
+                expected.add("tree_2tone")
+            k = star_leaves(graph)
+            if k is not None:
+                expected.add("star_formula")
+                assert rows["star_formula"]["value"] == bounds.star_formula(k, t).value
+            assert set(rows) == expected, (graph.n, graph.edges, t)
+    assert disconnected >= 40
 
 
 def test_verify_json_mode(star_files, capsys):
