@@ -64,7 +64,6 @@ from .solver import (
     FeasibilityResult,
     SearchBudget,
     SolveOutcome,
-    brute_force_tau,
     feasible,
     tau_exact,
 )

@@ -253,7 +253,7 @@ def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
 
 
 def _greedy(graph: Graph, prep, t: int, cap: int) -> Optional[ToneColoring]:
-    order, partners, _ = prep
+    order, partners = prep.order, prep.partners
     assign = [0] * graph.n
     for i, plist in enumerate(partners):
         constraints = [(assign[j], limit) for j, limit in plist]

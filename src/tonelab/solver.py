@@ -1,18 +1,53 @@
-"""Exact t-tone solver: feasibility search, optimum computation, brute oracle.
+"""Exact t-tone solver: feasibility search and optimum computation.
 
 The decision search assigns t-subsets of {0..k-1} to vertices in a fixed
 order and prunes any partial assignment in which some colored pair at
 distance d <= t already shares d colors.
 
-Completeness of the symmetry breaking: any valid coloring can be relabeled
-by a color permutation so that, scanning vertices in the search order and
-each vertex's colors in ascending order, the j-th distinct color to appear
-is index j-1 ("introduce colors in order"). Relabeling permutes color
-names only; validity depends on set intersections, never on which indices
-occur, so every coloring is equivalent to a canonical one. The search
-enumerates exactly the canonical assignments, hence Infeasible means no
-coloring exists at all. Forcing the first vertex to {0..t-1} is the
-used=0 case of the same rule.
+Completeness of the symmetry breaking. Masks are ordered as the candidate
+generator yields them, lexicographically on sorted color tuples: A < B
+exactly when the lowest bit of A ^ B lies in A. Colorings are compared
+position by position along the search order under that mask order. Two
+kinds of symmetry map valid colorings to valid ones: permuting color
+names (validity depends on set intersections, never on which indices
+occur), and swapping the sets of false twins u, v (N(u) = N(v); they are
+not adjacent and every other vertex is equally far from both, so the swap
+is a graph automorphism). Given any valid coloring, take the least
+coloring x of its orbit under both (the lex-leader of Crawford, Ginsberg,
+Luks and Roy, KR 1996). x is valid, and:
+
+* x introduces colors in order: scanning positions in search order and
+  each set's colors ascending, the j-th distinct color to appear is
+  index j-1. Otherwise let p be the first position that the relabeling to
+  that form changes. Before p, x agrees with its relabeling, which
+  introduces colors in order, so the relabeling fixes every color used
+  before p; it moves the new colors of x[p] onto the lowest unused
+  indices used, used+1, ... The lowest bit of the difference at p is then
+  one of those, so the relabeling comes before x: a contradiction.
+  Forcing the first vertex to {0..t-1} is the used=0 case.
+* The masks of false twins are non-decreasing along the search order.
+  Otherwise swapping twins at positions i < j with x[i] > x[j] changes
+  nothing before i and puts the smaller x[j] at i: a contradiction. The
+  search compares each twin with the previous one of its class only;
+  the order is total, so the chain sorts the whole class.
+
+The search enumerates exactly the assignments with both properties that
+pass its prunes, and every prune keeps x: the distance check and the
+reachability bound of _candidate_sets drop only sets that no valid
+coloring extends, and the fresh-color floor (suffix_fresh) bounds the
+colors every coloring of the first form introduces. Each is a property of
+x alone, not a comparison with other colorings, so it cannot drop x in
+favor of a relative that was itself cut. Hence Infeasible means no
+coloring exists at all. Both rules read the same order, positions first,
+then colors ascending; breaking color and vertex symmetry by orders that
+disagree can cut every solution.
+
+The twin floor is not strict: twins at distance 2 may share one color, so
+at t = 1 they may carry the same set (tau_1 of S_2 is 2 only because
+its two leaves share a color), and twins without neighbors may share any
+set. The run of brand-new colors never needs the floor check: the twin
+was placed earlier, so every color of its set is below used, and a run
+puts a color >= used where the floor still has one of those.
 
 The search runs on explicit stacks: one lazy candidate stream per search
 position, and inside each stream one frame per picked color. Its depth is
@@ -32,8 +67,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bounds
 from .coloring import ToneColoring, verify
@@ -108,10 +142,18 @@ def search_order(graph: Graph) -> list[int]:
     return sorted(range(n), key=lambda v: (-degs[v], bfs_index[v]))
 
 
-def _prepare(
-    graph: Graph, t: int
-) -> tuple[list[int], list[list[tuple[int, int]]], list[int]]:
-    """Search order, per-position constraint lists, and fresh-color floor.
+class _Prepared(NamedTuple):
+    """What every decision search on one (graph, t) shares; see _prepare."""
+
+    order: list[int]
+    partners: list[list[tuple[int, int]]]
+    suffix_fresh: list[int]
+    twin_prev: list[int]
+
+
+def _prepare(graph: Graph, t: int) -> _Prepared:
+    """Search order, per-position constraint lists, fresh-color floor and
+    previous false twins.
 
     partners[i] holds (earlier position, allowed shared count) for every
     earlier vertex within distance t, read off the distance-t ball of the
@@ -121,7 +163,8 @@ def _prepare(
     picks are capped by the summed allowances, so it needs at least
     t - sum(d-1) fresh colors (the pair-counting argument behind the
     pairsum lower bound). Placing more colors than k - suffix_fresh[i+1]
-    admits is therefore a dead end.
+    admits is therefore a dead end. twin_prev[i] is the latest earlier
+    position whose vertex has the same neighborhood (a false twin), or -1.
     """
     order = search_order(graph)
     position = [0] * graph.n
@@ -141,7 +184,13 @@ def _prepare(
     suffix_fresh = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix_fresh[i] = suffix_fresh[i + 1] + fresh_min[i]
-    return order, partners, suffix_fresh
+    last_with: dict[tuple[int, ...], int] = {}
+    twin_prev = []
+    adjacency = graph.adjacency
+    for i, v in enumerate(order):
+        twin_prev.append(last_with.get(adjacency[v], -1))
+        last_with[adjacency[v]] = i
+    return _Prepared(order, partners, suffix_fresh, twin_prev)
 
 
 class _Meter:
@@ -192,6 +241,7 @@ def _candidate_sets(
     used: int,
     constraints: list[tuple[int, int]],
     meter: Optional[_Meter] = None,
+    floor: int = 0,
 ):
     """Yield valid t-subsets of {0..k-1} as bitmasks, lexicographically.
 
@@ -220,6 +270,13 @@ def _candidate_sets(
     blocks each open constraint containing c that the new mask has spent,
     and takes one unit of allowance per open constraint containing c.
     Backtracking therefore undoes nothing.
+
+    A nonzero ``floor``, a t-subset of the introduced colors, drops every
+    mask that comes before it in this order. While the picks so far are
+    the floor's lowest colors (the frame is tight), the next old color
+    starts at the floor's next color; a pick above it leaves every
+    completion after the floor. The run of brand-new colors needs no
+    check: it puts a color >= used where the floor has an old one.
 
     The picks form a depth-first search, run on an explicit stack. One
     node is one entry into it: the empty pick, each old-color pick that
@@ -250,19 +307,26 @@ def _candidate_sets(
     fresh = k - used  # brand-new colors still available
     nodes = meter.nodes
     stop = meter.limit
-    # one frame per pick depth: old colors left to try, and the mask,
-    # blocked colors and summed allowance on entry; a pick derives its
-    # child's from these, so backtracking restores nothing
+    # one frame per pick depth: old colors left to try, the mask, blocked
+    # colors and summed allowance on entry, and the floor's next color if
+    # the frame is tight (else 0); a pick derives its child's from these,
+    # so backtracking restores nothing
     cand_at = [0] * t
     mask_at = [0] * t
     blocked_at = [0] * t
     allow_at = [0] * t
-    depth = lo = mask = 0
+    edge_at = [0] * t
+    depth = lo = mask = edge = 0
+    tight = floor != 0
     while True:
         # enter a node: depth colors picked in mask, old colors >= lo left
         nodes += 1
         if nodes > stop:
             stop = meter.overrun(nodes)
+        if tight:  # mask is the floor's lowest colors: start at its next
+            edge = floor & ~mask
+            edge &= -edge
+            lo = edge.bit_length() - 1
         slots = t - depth
         end = k - slots + 1
         short = slots - fresh - allowance  # unconstrained colors still needed
@@ -292,6 +356,7 @@ def _candidate_sets(
             mask_at[depth] = mask
             blocked_at[depth] = blocked
             allow_at[depth] = allowance
+            edge_at[depth] = edge
         else:
             depth -= 1
         # backtrack to the next untried pick, or finish frames on the way up
@@ -307,6 +372,8 @@ def _candidate_sets(
                     if (mask & cmask).bit_count() >= limit:  # now spent
                         blocked |= cmask
                 allowance = allow_at[depth] - len(draws[c])
+                tight = low == edge_at[depth]
+                edge = 0  # a tight child sets its own on entry
                 lo = c + 1
                 depth += 1
                 break
@@ -332,7 +399,7 @@ def _candidate_sets(
 
 
 def _search(
-    prep,
+    prep: _Prepared,
     t: int,
     k: int,
     assign: list[int],
@@ -346,8 +413,8 @@ def _search(
     counted on ``meter`` on top of what it already holds. Returns the
     status; on FEASIBLE, ``assign`` holds the assignment.
     """
-    order, partners, suffix_fresh = prep
-    n = len(order)
+    _, partners, suffix_fresh, twin_prev = prep
+    n = len(partners)
     streams = [None] * n
     used_at = [0] * (n + 1)
     pos = 0
@@ -359,7 +426,10 @@ def _search(
                 # colors introduced through this position must leave room for
                 # the fresh colors the remaining positions are guaranteed to need
                 k_eff = k - suffix_fresh[pos + 1]
-                stream = _candidate_sets(k_eff, t, used_at[pos], constraints, meter)
+                # a false twin's mask comes no earlier than the previous one's
+                twin = twin_prev[pos]
+                floor = assign[twin] if twin >= 0 else 0
+                stream = _candidate_sets(k_eff, t, used_at[pos], constraints, meter, floor)
                 streams[pos] = stream
             mask = next(stream, 0)
             if not mask:
@@ -392,14 +462,14 @@ def _witness_from(order, assign, t: int, k: int) -> ToneColoring:
 
 
 def _decide(
-    graph: Graph, prep, t: int, k: int, meter: _Meter
+    graph: Graph, prep: _Prepared, t: int, k: int, meter: _Meter
 ) -> tuple[str, Optional[ToneColoring]]:
     """One decision search on ``meter``; FEASIBLE comes with a verified witness."""
     assign = [0] * graph.n
     status = _search(prep, t, k, assign, meter)
     if status != FEASIBLE:
         return status, None
-    witness = _witness_from(prep[0], assign, t, k)
+    witness = _witness_from(prep.order, assign, t, k)
     if not verify(graph, witness).valid:
         raise AssertionError("search produced an invalid witness")
     return status, witness
@@ -504,64 +574,3 @@ def tau_exact(
         k += 1
     witness = _trivial_coloring(graph, t)
     return SolveOutcome(TIMEOUT, None, k, t * graph.n, witness, meter.stats(True))
-
-
-def brute_force_tau(graph: Graph, t: int, k_max: int) -> Optional[int]:
-    """Independent oracle: smallest feasible k <= k_max by plain enumeration.
-
-    Vertices are taken in natural index order, candidate sets come from
-    itertools.combinations, and the only pruning is rejecting a partial
-    assignment as soon as one pair violates its distance constraint. No
-    ordering heuristics, no symmetry breaking, no shared solver machinery.
-    Intended for tiny instances.
-    """
-    if t < 1 or graph.n == 0:
-        raise ValueError("need t >= 1 and a nonempty graph")
-    dist = _plain_distances(graph, cap=t)
-    for k in range(t, k_max + 1):
-        if _bf_extend(graph, t, k, dist, {}, 0):
-            return k
-    return None
-
-
-def _plain_distances(graph: Graph, cap: int) -> dict[tuple[int, int], int]:
-    """Dict of pair distances <= cap via BFS straight off the edge set."""
-    adj: dict[int, set[int]] = {v: set() for v in range(graph.n)}
-    for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    out: dict[tuple[int, int], int] = {}
-    for s in range(graph.n):
-        depth = {s: 0}
-        frontier = [s]
-        for d in range(1, cap + 1):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in depth:
-                        depth[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        for v, d in depth.items():
-            if s < v:
-                out[(s, v)] = d
-    return out
-
-
-def _bf_extend(graph, t, k, dist, assigned: dict[int, frozenset], v: int) -> bool:
-    if v == graph.n:
-        return True
-    for combo in combinations(range(k), t):
-        s = frozenset(combo)
-        ok = True
-        for w, sw in assigned.items():
-            d = dist.get((min(v, w), max(v, w)))
-            if d is not None and len(s & sw) >= d:
-                ok = False
-                break
-        if ok:
-            assigned[v] = s
-            if _bf_extend(graph, t, k, dist, assigned, v + 1):
-                return True
-            del assigned[v]
-    return False

@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch against the
 definitions, sharing no machinery with the implementation under test:
 orthogonality of two squares as a set of cell pairs, Floyd-Warshall
 distances, a naive pair-scan verifier on sorted lists, an exact chromatic
-number by plain backtracking, queue-driven BFS for the search order and
+number by plain backtracking, `brute_force_tau`, the t-tone chromatic
+number by plain enumeration, queue-driven BFS for the search order and
 the components, and an isomorphism-class enumerator for small connected
-graphs.
+graphs. Nothing here imports `tonelab.solver`.
 
 Some references keep earlier implementations of package code instead,
 for tests that require the current code to agree with them exactly:
@@ -15,20 +16,20 @@ for tests that require the current code to agree with them exactly:
 the shape from its component list (here on the queue-driven components);
 and `counted_candidate_sets`, the candidate generator that counts each
 constraint's remaining allowance down on a pick and back up on
-backtrack. The latter shares the solver's `_Meter`, so node counts and
-budget stops can be compared node for node.
+backtrack. The latter counts on a solver `_Meter` that its caller passes
+in, so node counts and budget stops can be compared node for node.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional
 
 import numpy as np
 
 from tonelab.graphs import Graph
-from tonelab.solver import _Meter
 
 
 def orthogonal(a_cells, b_cells) -> bool:
@@ -178,6 +179,67 @@ def chromatic_number_reference(graph: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def brute_force_tau(graph: Graph, t: int, k_max: int) -> Optional[int]:
+    """Independent oracle: smallest feasible k <= k_max by plain enumeration.
+
+    Vertices are taken in natural index order, candidate sets come from
+    itertools.combinations, and the only pruning is rejecting a partial
+    assignment as soon as one pair violates its distance constraint. No
+    ordering heuristics, no symmetry breaking, no shared solver machinery.
+    Intended for tiny instances.
+    """
+    if t < 1 or graph.n == 0:
+        raise ValueError("need t >= 1 and a nonempty graph")
+    dist = _plain_distances(graph, cap=t)
+    for k in range(t, k_max + 1):
+        if _bf_extend(graph, t, k, dist, {}, 0):
+            return k
+    return None
+
+
+def _plain_distances(graph: Graph, cap: int) -> dict[tuple[int, int], int]:
+    """Dict of pair distances <= cap via BFS straight off the edge set."""
+    adj: dict[int, set[int]] = {v: set() for v in range(graph.n)}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out: dict[tuple[int, int], int] = {}
+    for s in range(graph.n):
+        depth = {s: 0}
+        frontier = [s]
+        for d in range(1, cap + 1):
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in depth:
+                        depth[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        for v, d in depth.items():
+            if s < v:
+                out[(s, v)] = d
+    return out
+
+
+def _bf_extend(graph, t, k, dist, assigned: dict[int, frozenset], v: int) -> bool:
+    if v == graph.n:
+        return True
+    for combo in combinations(range(k), t):
+        s = frozenset(combo)
+        ok = True
+        for w, sw in assigned.items():
+            d = dist.get((min(v, w), max(v, w)))
+            if d is not None and len(s & sw) >= d:
+                ok = False
+                break
+        if ok:
+            assigned[v] = s
+            if _bf_extend(graph, t, k, dist, assigned, v + 1):
+                return True
+            del assigned[v]
+    return False
+
+
 def _is_connected_mask(n: int, edge_list) -> bool:
     if n <= 1:
         return True
@@ -241,13 +303,15 @@ def _prufer_decode(seq, n: int):
     return edges
 
 
-def trees_up_to_iso(n: int) -> list[Graph]:
+@lru_cache(maxsize=None)
+def trees_up_to_iso(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of trees on n vertices,
-    enumerated through Prufer sequences and brute canonicalization."""
+    enumerated through Prufer sequences and brute canonicalization; each
+    n is enumerated once per process (n = 6 takes about 2 s)."""
     if n == 1:
-        return [Graph(1, [])]
+        return (Graph(1, []),)
     if n == 2:
-        return [Graph(2, [(0, 1)])]
+        return (Graph(2, [(0, 1)]),)
     from itertools import product
 
     pairs = list(combinations(range(n), 2))
@@ -267,7 +331,7 @@ def trees_up_to_iso(n: int) -> list[Graph]:
         if canon not in seen:
             seen.add(canon)
             out.append(Graph(n, edges))
-    return out
+    return tuple(out)
 
 
 def gnp_by_rows(n: int, p: float, seed: int) -> Graph:
@@ -300,6 +364,18 @@ def random_connected_graph(rng, n: int, p: float) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def plant_twins(rng, graph: Graph, extra: int) -> Graph:
+    """``graph`` plus ``extra`` new vertices, each a false twin (same
+    neighbors, no edge between them) of a random earlier vertex."""
+    adj = [set(a) for a in graph.adjacency]
+    for w in range(graph.n, graph.n + extra):
+        v = rng.randrange(w)
+        adj.append(set(adj[v]))
+        for u in adj[v]:
+            adj[u].add(w)
+    return Graph(len(adj), [(u, w) for w in range(len(adj)) for u in adj[w] if u < w])
+
+
 def random_tree(rng, n: int, max_degree: int | None = None) -> Graph:
     """Random recursive tree; optionally refuse parents at the degree cap."""
     degree = [0] * n
@@ -322,7 +398,7 @@ def counted_candidate_sets(
     t: int,
     used: int,
     constraints: list[tuple[int, int]],
-    meter: Optional[_Meter] = None,
+    meter,
 ):
     """Yield valid t-subsets of {0..k-1} as bitmasks, lexicographically.
 
@@ -347,11 +423,9 @@ def counted_candidate_sets(
     The picks form a depth-first search, run on an explicit stack. One
     node is one entry into it: the empty pick, each old-color pick that
     passes its constraint check, and each pick in the run of brand-new
-    colors. ``meter`` counts nodes and enforces the budget; without one
-    the stream is uncounted and unlimited.
+    colors. ``meter``, a solver `_Meter`, counts nodes and enforces the
+    budget.
     """
-    if meter is None:
-        meter = _Meter()
     full = (1 << used) - 1
     # per old color: the open constraints (limit > 0) that one pick of it
     # draws on; colors in a spent constraint are blocked

@@ -7,7 +7,7 @@ is a hard failure, never a skip.
 
 import random
 
-from oracles import connected_graphs_up_to_iso, random_graph
+from oracles import brute_force_tau, connected_graphs_up_to_iso, random_graph
 from test_constructions import four_tone_conditions
 from tonelab.bounds import (
     degree_lower_bound,
@@ -45,7 +45,6 @@ from tonelab.solver import (
     FEASIBLE,
     INFEASIBLE,
     SearchBudget,
-    brute_force_tau,
     feasible,
     greedy_clique_size,
     tau_exact,

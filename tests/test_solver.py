@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from oracles import chromatic_number_reference, random_connected_graph, random_graph
+from oracles import (
+    brute_force_tau,
+    chromatic_number_reference,
+    plant_twins,
+    random_connected_graph,
+    random_graph,
+    random_tree,
+)
 from tonelab import bounds
 from tonelab.coloring import colors_used, verify
 from tonelab.graphs import (
@@ -20,7 +27,6 @@ from tonelab.solver import (
     INFEASIBLE,
     TIMEOUT,
     SearchBudget,
-    brute_force_tau,
     feasible,
     greedy_clique_size,
     search_order,
@@ -313,6 +319,124 @@ def test_candidate_generator_completeness():
         assert got == expect, (k, t, used, constraints)
 
 
+def precedes(a: int, b: int) -> bool:
+    """a comes before b in the candidate order: the lowest bit of a ^ b is in a."""
+    diff = a ^ b
+    return bool(diff & -diff & a)
+
+
+def test_candidate_generator_floor_cuts_only_earlier_masks():
+    """A floored stream is the unfloored stream without the masks that
+    come before the floor, in the same order, and never costs more nodes."""
+    from tonelab.solver import _candidate_sets, _Meter
+
+    def run(k, t, used, constraints, floor):
+        meter = _Meter()
+        masks = list(_candidate_sets(k, t, used, list(constraints), meter, floor))
+        return masks, meter.nodes
+
+    rng = random.Random(32)
+    cut = 0
+    for _ in range(600):
+        k = rng.randrange(1, 11)
+        t = rng.randrange(1, min(5, k) + 1)
+        used = rng.randrange(t, k + 1)
+        constraints = []
+        for _ in range(rng.randrange(0, 5)):
+            mask = 0
+            for c in rng.sample(range(used), rng.randrange(0, used + 1)):
+                mask |= 1 << c
+            constraints.append((mask, rng.randrange(0, t + 1)))
+        floor = sum(1 << c for c in rng.sample(range(used), t))
+        plain, plain_nodes = run(k, t, used, constraints, 0)
+        got, nodes = run(k, t, used, constraints, floor)
+        assert got == [m for m in plain if not precedes(m, floor)], (k, t, used, constraints, floor)
+        assert nodes <= plain_nodes
+        cut += len(got) < len(plain)
+    assert cut > 100
+
+
+def test_twin_floor_admits_equal_sets():
+    """S_2 has tau_1 = 2 only with both leaves on one color, so a floor
+    that excluded the previous twin's own set would report 3."""
+    from tonelab.solver import _candidate_sets
+
+    s2 = build_star(2)
+    out = tau_exact(s2, 1)
+    assert out.value == 2 == brute_force_tau(s2, 1, 3)
+    assert out.witness.assignment[1] == out.witness.assignment[2]
+    assert feasible(s2, 1, 2).status == FEASIBLE
+    # the second leaf, beside the center {0} and the first leaf {1}
+    assert list(_candidate_sets(2, 1, 2, [(0b01, 0), (0b10, 1)], None, 0b10)) == [0b10]
+
+
+def test_tau_exact_matches_brute_force_on_trees_and_twins():
+    """The twin floor loses no coloring: the brute-force oracle, which
+    breaks no symmetry, agrees on every small tree and on small graphs
+    with planted false twins (isolated twins included)."""
+    from oracles import trees_up_to_iso
+
+    # every instance needs under 100 nodes; the cap stops a rule that cuts
+    # every coloring, which would otherwise climb k without end
+    budget = SearchBudget(max_nodes=10_000)
+    for n in range(1, 7):
+        for tree in trees_up_to_iso(n):
+            for t in (1, 2, 3) if n <= 5 else (1, 2):
+                assert tau_exact(tree, t, budget).value == brute_force_tau(tree, t, t * n), (
+                    sorted(tree.edges), t)
+    rng = random.Random(5)
+    for trial in range(60):
+        base = random_graph(rng, rng.randrange(1, 5), rng.uniform(0.2, 0.8))
+        g = plant_twins(rng, base, rng.randrange(1, 3))
+        t = 3 if trial % 4 == 3 and g.n <= 4 else rng.randrange(1, 3)
+        assert tau_exact(g, t, budget).value == brute_force_tau(g, t, t * g.n), (
+            sorted(g.edges), t)
+
+
+def test_twin_floor_agrees_with_the_search_without_it():
+    """The same prepared search with its twin list cleared finds the same
+    value on every instance, never in fewer nodes."""
+    from tonelab.solver import _decide, _Meter, _prepare
+
+    def solve(graph, t, prep):
+        """tau_t and the nodes spent; None if even t*n colors are refuted."""
+        meter = _Meter()
+        for k in range(starting_lower_bound(graph, t), t * graph.n + 1):
+            if _decide(graph, prep, t, k, meter)[0] == FEASIBLE:
+                return k, meter.nodes
+        return None, meter.nodes
+
+    rng = random.Random(7)
+    fewer = 0
+    for trial in range(300):
+        if trial % 2:
+            g = random_tree(rng, rng.randrange(5, 12))
+        else:
+            base = random_graph(rng, rng.randrange(2, 8), rng.uniform(0.1, 0.6))
+            g = plant_twins(rng, base, rng.randrange(1, 4))
+        t = rng.randrange(1, 4)
+        prep = _prepare(g, t)
+        value, nodes = solve(g, t, prep)
+        plain_value, plain_nodes = solve(g, t, prep._replace(twin_prev=[-1] * g.n))
+        assert value == plain_value and nodes <= plain_nodes, (sorted(g.edges), t)
+        fewer += nodes < plain_nodes
+    assert fewer >= 30
+
+
+def test_prepare_links_each_false_twin_to_the_previous_one():
+    from tonelab.solver import _prepare
+
+    # S_3+2: leaves 2, 3 of the center and leaves 4, 5 of vertex 1
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    prep = _prepare(g, 5)
+    twins = {prep.order[i]: prep.order[j] for i, j in enumerate(prep.twin_prev) if j >= 0}
+    assert twins == {3: 2, 5: 4}
+    # two isolated vertices are twins too; the ends of P_4 are not
+    prep = _prepare(Graph(6, [(0, 1), (1, 2), (2, 3)]), 2)
+    twins = {prep.order[i]: prep.order[j] for i, j in enumerate(prep.twin_prev) if j >= 0}
+    assert twins == {5: 4}
+
+
 def test_candidate_generator_matches_counted_reference():
     """Node for node, the generator agrees with the counter-and-undo
     reference: the same sets in the same order, the same meter count after
@@ -377,7 +501,10 @@ def test_exact_node_counts_are_pinned():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     res = feasible(s3_plus_2, 5, 17)
     assert res.status == INFEASIBLE
-    assert res.stats.nodes == 309_691
+    assert res.stats.nodes == 93_041
+    out = tau_exact(build_star(9), 3)  # nine twin leaves
+    assert (out.status, out.value) == (EXACT, 12)
+    assert out.stats.nodes == 8_003
     g = build_gnp(60, 0.05, 1)
     res = feasible(g, 2, 7)
     assert res.status == FEASIBLE
@@ -406,15 +533,15 @@ def test_tau_exact_counts_every_palette_size_on_one_budget():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     out = tau_exact(s3_plus_2, 5)
     assert out.status == EXACT and out.value == 18
-    assert out.stats.nodes == 1 + 309_691 + 42  # k = 16, 17 refuted; 18 found
+    assert out.stats.nodes == 1 + 93_041 + 42  # k = 16, 17 refuted; 18 found
     star5 = build_star(5)
     out = tau_exact(star5, 3)
     assert out.status == EXACT and out.value == 10
-    assert out.stats.nodes == 311
-    # k = 9 is refuted in exactly 279 nodes: the spent cap stops the run
+    assert out.stats.nodes == 129
+    # k = 9 is refuted in exactly 98 nodes: the spent cap stops the run
     # before k = 10, so the count does not read one past the cap
-    out = tau_exact(star5, 3, SearchBudget(max_nodes=279))
-    assert (out.status, out.best_lower, out.stats.nodes) == (TIMEOUT, 10, 279)
+    out = tau_exact(star5, 3, SearchBudget(max_nodes=98))
+    assert (out.status, out.best_lower, out.stats.nodes) == (TIMEOUT, 10, 98)
     out = tau_exact(build_path(6), 4, SearchBudget(max_nodes=2))
     assert (out.status, out.best_lower, out.stats.nodes) == (TIMEOUT, 12, 2)
 
@@ -444,12 +571,12 @@ def test_feasible_on_the_empty_graph():
 
 
 def test_tau_exact_wall_clock_budget_spans_palette_sizes():
-    # k = 16 is refuted in one node; k = 17 needs ~310k nodes, far more
-    # than 50 ms, so the shared deadline falls inside it
+    # k = 16 is refuted in one node; k = 17 needs ~93k nodes, far more
+    # than 20 ms, so the shared deadline falls inside it
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    budget_ms = 50.0
+    budget_ms = 20.0
     out = tau_exact(s3_plus_2, 5, SearchBudget(max_nodes=None, max_millis=budget_ms))
     assert out.status == TIMEOUT and out.best_lower == 17
     assert out.stats.budget_exhausted
-    assert 1 < out.stats.nodes < 1 + 309_691
+    assert 1 < out.stats.nodes < 1 + 93_041
     assert out.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
