@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Graph, distance_ball
+from .graphs import Graph, connected_components, distance_ball
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,71 @@ def pairsum_bound(graph: Graph, t: int) -> BoundReport:
     )
 
 
+def component_pairsum(
+    graph: Graph, t: int, floor: float = -math.inf
+) -> Optional[BoundReport]:
+    """The pairsum bound of a graph that may be disconnected, or None when
+    it is at most floor (always None on the empty graph).
+
+    tau_t of a disjoint union is the max over its components, so the value
+    is the largest of the components' pairsum_bound values, and the report
+    of the first component in component order that reaches it supplies
+    the kind and the note. The note is the report's reason, set also when
+    it is exact; with more than one component it ends with their count.
+
+    A component is built only when it can win. Every non-adjacent pair in
+    a connected component has d - 1 >= 1, so its value is at most the
+    estimate t*n_c - (C(n_c, 2) - m_c). Components are visited by
+    descending estimate, ties in component order, and the visit stops at
+    the first one whose estimate cannot beat the best so far under the
+    first-max rule, or cannot beat floor: neither can any after it.
+
+    The report is exact only when every component's is: a larger
+    tau_t on a component whose equality hypothesis t >= (n_c - 1)(D_c - 1)
+    fails would lift the max. An unbuilt component is decided without a
+    BFS where it can be. A complete one has D_c <= 1, so it is exact; any
+    other has D_c >= 2, so it fails once t < n_c - 1. Only the rest, each
+    on at most t + 1 vertices, are built, and only while the report is
+    still exact.
+    """
+    comps = connected_components(graph)
+    degrees = graph.degrees
+    sizes = [(len(c), sum(degrees[v] for v in c) // 2) for c in comps]
+    estimate = [t * n_c - (n_c * (n_c - 1) // 2 - m_c) for n_c, m_c in sizes]
+    reports: dict[int, BoundReport] = {}
+    best = -1
+    for i in sorted(range(len(comps)), key=lambda i: -estimate[i]):
+        if estimate[i] <= floor:
+            break
+        # (value, -index) orders reports so that the first max is largest
+        if reports and (estimate[i], -i) < (reports[best].value, -best):
+            break
+        reports[i] = pairsum_bound(graph.induced_subgraph(comps[i]), t)
+        if best < 0 or (reports[i].value, -i) > (reports[best].value, -best):
+            best = i
+    if not reports or reports[best].value <= floor:
+        return None
+    win = reports[best]
+    kind, note = win.kind, win.reason or "equality hypothesis holds"
+    if kind == "exact":
+        unbuilt = [
+            i for i, (n_c, m_c) in enumerate(sizes)
+            if i not in reports and m_c < n_c * (n_c - 1) // 2
+        ]
+        if (
+            any(r.kind != "exact" for r in reports.values())
+            or any(t < sizes[i][0] - 1 for i in unbuilt)
+            or any(
+                pairsum_bound(graph.induced_subgraph(comps[i]), t).kind != "exact"
+                for i in unbuilt
+            )
+        ):
+            kind, note = "lower", "equality fails on another component"
+    if len(comps) > 1:
+        note += f"; max over {len(comps)} components"
+    return BoundReport(win.value, kind, "pairsum", reason=note)
+
+
 def star_formula(k: int, t: int) -> BoundReport:
     """(k+1)t - C(k,2), exact for stars once t >= k."""
     if k < 1 or t < 1:
@@ -152,11 +217,15 @@ def multipartite_lower(parts: Sequence[int], t: int) -> MultipartiteLower:
 
     Parts must use pairwise disjoint palettes, so the bound is the sum of
     per-part requirements: the real-valued sum(sqrt(t(t-1)a_i))
-    and an exact integer refinement from the same pair counting.
+    and an exact integer refinement from the same pair counting. The
+    pairs within a part are at distance 2 only through another part; a
+    single part is an edgeless graph with tau_t = t, so it is rejected.
     """
     if t < 2:
         raise ValueError("multipartite lower bound requires t >= 2")
-    if not parts or any(a < 1 for a in parts):
+    if len(parts) < 2:
+        raise ValueError("multipartite lower bound needs at least two parts")
+    if any(a < 1 for a in parts):
         raise ValueError("part sizes must be positive")
     real_value = sum(math.sqrt(t * (t - 1) * a) for a in parts)
     integer_value = sum(min_palette_for_pairs(t, a) for a in parts)

@@ -32,7 +32,7 @@ from .graphs import (
     build_star,
     build_truncated_regular_tree,
     cartesian_power,
-    connected_components,
+    is_connected,
     load_graph,
     save_graph,
 )
@@ -176,25 +176,24 @@ def cmd_solve(args) -> int:
 def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dict]:
     """One row per formula: source, kind, value, applicability note.
 
-    The pairsum row takes the max over the components' reports and is
-    exact only when every component's report is: a larger tau_t on a
-    component whose equality hypothesis fails would lift the max. The
-    path, tree and star rows need one component with n - 1 edges.
+    The pairsum row is bounds.component_pairsum's report as it stands. The
+    path, tree and star rows need a connected graph with n - 1 edges, the
+    multipartite rows t >= 2 and at least two parts.
     """
     delta = graph.max_degree
     degree = bounds.degree_bound(delta, t)
     note = "needs t >= 2 and an edge" if degree is None else f"max degree {delta}"
     rows = [{"source": "degree", "kind": "lower", "value": degree, "note": note}]
-    comps = connected_components(graph)
-    per_comp = [bounds.pairsum_bound(graph.induced_subgraph(c), t) for c in comps]
-    best = max(per_comp, key=lambda r: r.value)
-    kind, note = best.kind, best.reason or "equality hypothesis holds"
-    if kind == "exact" and any(r.kind != "exact" for r in per_comp):
-        kind, note = "lower", "equality fails on another component"
-    if len(comps) > 1:
-        note += f"; max over {len(comps)} components"
-    rows.append({"source": "pairsum", "kind": kind, "value": best.value, "note": note})
-    tree = len(comps) == 1 and graph.m == graph.n - 1
+    pairsum = bounds.component_pairsum(graph, t)
+    rows.append(
+        {
+            "source": "pairsum",
+            "kind": pairsum.kind,
+            "value": pairsum.value,
+            "note": pairsum.reason,
+        }
+    )
+    tree = graph.m == graph.n - 1 and is_connected(graph)
     if tree and delta <= 2:
         rows.append(
             {
@@ -223,7 +222,7 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
                 "note": rep.reason or "exact for stars",
             }
         )
-    if parts is not None and t >= 2:
+    if parts is not None and len(parts) >= 2 and t >= 2:
         low = bounds.multipartite_lower(parts, t)
         rows.append(
             {

@@ -67,14 +67,20 @@ class Graph:
         return sorted(self.edges)
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph; vertex i of the result is vertices[i]."""
+        """Induced subgraph; vertex i of the result is vertices[i].
+
+        Reads only the adjacency of the chosen vertices, so a small
+        component of a large graph costs its own size, not m.
+        """
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise ValueError("duplicate vertices in induced subgraph")
+        adjacency = self.adjacency
         sub = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
+            (i, index[w])
+            for v, i in index.items()
+            for w in adjacency[v]
+            if v < w and w in index
         ]
         return Graph(len(vertices), sub)
 

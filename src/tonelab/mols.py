@@ -220,6 +220,9 @@ def parse_family(text: str) -> MolsFamily:
     if len(head) != 2:
         raise ValueError("header must be `n m`")
     n, m = int(head[0]), int(head[1])
+    if n < 1:
+        # with n = 0 any m matches zero rows, and m empty squares would be built
+        raise ValueError("order must be >= 1")
     rows = [ln.strip() for ln in lines[1:] if ln.strip()]
     if len(rows) != n * m:
         raise ValueError(f"expected {n * m} rows, found {len(rows)}")

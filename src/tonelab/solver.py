@@ -71,7 +71,7 @@ from typing import NamedTuple, Optional
 
 from . import bounds
 from .coloring import ToneColoring, verify
-from .graphs import Graph, connected_components, distance_ball
+from .graphs import Graph, distance_ball
 
 DEFAULT_BUDGET_NODES = 50_000_000
 
@@ -514,24 +514,16 @@ def greedy_clique_size(graph: Graph) -> int:
 
 
 def starting_lower_bound(graph: Graph, t: int) -> int:
-    """max of the closed-form lower bounds: degree, per-component pairsum,
-    and t times a greedy clique size.
+    """max of the closed-form lower bounds: degree, the pairsum over
+    components, and t times a greedy clique size.
 
-    A component's pairsum bound is computed only when it can win. Every
-    non-adjacent pair in a connected component has d - 1 >= 1, so its
-    pairsum value is at most t*n_c - (C(n_c, 2) - m_c); when that estimate
-    is no better than the best bound so far the component is skipped
-    without building its induced subgraph.
+    The degree bound is the floor of bounds.component_pairsum, so a
+    component whose pairsum estimate cannot beat it is never built.
     """
     best = (bounds.degree_bound(graph.max_degree, t) or t) if graph.n else 0
-    degrees = graph.degrees
-    for comp in connected_components(graph):
-        n_c = len(comp)
-        m_c = sum(degrees[v] for v in comp) // 2
-        if t * n_c - (n_c * (n_c - 1) // 2 - m_c) <= best:
-            continue
-        sub = graph.induced_subgraph(comp)
-        best = max(best, bounds.pairsum_bound(sub, t).value)
+    pairsum = bounds.component_pairsum(graph, t, best)
+    if pairsum is not None:
+        best = pairsum.value
     best = max(best, t * greedy_clique_size(graph))
     return best
 

@@ -135,8 +135,8 @@ def test_multipartite_lower():
     low = multipartite_lower([4, 4], 2)
     assert abs(low.real_value - 2 * math.sqrt(8)) < 1e-12
     assert low.integer_value == 8
-    single = multipartite_lower([7], 2)
-    assert abs(single.real_value - math.sqrt(14)) < 1e-12
+    with pytest.raises(ValueError, match="two parts"):
+        multipartite_lower([7], 2)  # edgeless: tau_2 = 2, below sqrt(14)
     ones = multipartite_lower([1] * 6, 3)
     assert ones.integer_value == 18  # consistent with tau_t(K_b) = t*b
 

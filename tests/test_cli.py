@@ -10,7 +10,7 @@ from oracles import bfs_components, is_path, is_tree, random_graph, random_tree,
 
 from tonelab import bounds, cli, constructions, solver
 from tonelab.coloring import load_coloring, save_coloring, ToneColoring, verify
-from tonelab.graphs import Graph, build_path, build_star, save_graph
+from tonelab.graphs import Graph, build_gnp, build_path, build_star, save_graph
 from tonelab.solver import tau_exact
 
 
@@ -193,8 +193,21 @@ BOUND_FAMILIES = [
     ["multipartite", "3"], ["multipartite", "4,4"], ["hypercube", "3"],
 ]
 
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K5_P3 = Graph(8, K5 + [(5, 6), (6, 7)])  # exact at t = 2 only after P_3's BFS
+K5_P4 = Graph(9, K5 + [(5, 6), (6, 7), (7, 8)])  # lower at t = 2 without a BFS
+# at t = 3, P_3 ties the larger estimate of P_4 and comes first: its exact
+# report wins, and P_4's lower one makes the row lower
+P3_P4 = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+# K_5 is skipped behind K_6 and is exact although t < 4
+K5_K6 = Graph(11, K5 + [(a, b) for a in range(5, 11) for b in range(a + 1, 11)])
 
-def _bound_graphs() -> list[Graph]:
+
+def _bound_graphs() -> list[tuple[Graph, tuple[int, ...]]]:
+    """(graph, values of t) pairs: families, small random graphs, the four
+    unions above, and G(n, 2/n) with hundreds of components, where a tie
+    between an exact and a lower component decides the pairsum note at
+    t = 2."""
     graphs = [cli.resolve_family(tokens)[0] for tokens in BOUND_FAMILIES]
     rng = random.Random(10)
     for i in range(160):
@@ -206,24 +219,38 @@ def _bound_graphs() -> list[Graph]:
             graphs.append(random_tree(rng, n))
         else:
             graphs.append(random_graph(rng, n, rng.choice([0.15, 0.3, 0.6])))
-    return graphs
+    cases = [(g, (1, 2, 3, 6)) for g in graphs + [K5_P3, K5_P4, P3_P4, K5_K6]]
+    cases += [(build_gnp(n, 2 / n, seed), (2,)) for n, seed in [(2000, 1), (4000, 1)]]
+    return cases
+
+
+def _reference_pairsum_row(graph: Graph, t: int) -> dict:
+    """The pairsum row built from every component's report: the first max
+    wins, and the row is exact only when every report is."""
+    comps = bfs_components(graph)
+    reports = [bounds.pairsum_bound(graph.induced_subgraph(c), t) for c in comps]
+    best = max(reports, key=lambda r: r.value)
+    kind, note = best.kind, best.reason or "equality hypothesis holds"
+    if kind == "exact" and any(r.kind != "exact" for r in reports):
+        kind, note = "lower", "equality fails on another component"
+    if len(comps) > 1:
+        note += f"; max over {len(comps)} components"
+    return {"source": "pairsum", "kind": kind, "value": best.value, "note": note}
 
 
 def test_bound_rows_match_the_reference_shape_tests():
     disconnected = 0
-    for graph in _bound_graphs():
-        comps = bfs_components(graph)
-        disconnected += len(comps) > 1
+    notes = set()
+    for graph, ts in _bound_graphs():
+        disconnected += len(bfs_components(graph)) > 1
         delta = max(graph.degrees)
-        for t in (1, 2, 3, 6):
+        for t in ts:
             rows = {r["source"]: r for r in cli.bound_rows(graph, t)}
             # the inline guard the CLI and the solver used before degree_bound
             old = bounds.degree_lower_bound(delta, t) if t >= 2 and delta >= 1 else None
             assert rows["degree"]["value"] == old
-            reports = [bounds.pairsum_bound(graph.induced_subgraph(c), t) for c in comps]
-            assert rows["pairsum"]["value"] == max(r.value for r in reports)
-            all_exact = all(r.kind == "exact" for r in reports)
-            assert rows["pairsum"]["kind"] == ("exact" if all_exact else "lower")
+            assert rows["pairsum"] == _reference_pairsum_row(graph, t), (graph, t)
+            notes.add(rows["pairsum"]["note"].split(";")[0])
             expected = {"degree", "pairsum"}
             if is_path(graph):
                 expected.add("path_formula")
@@ -236,6 +263,58 @@ def test_bound_rows_match_the_reference_shape_tests():
                 assert rows["star_formula"]["value"] == bounds.star_formula(k, t).value
             assert set(rows) == expected, (graph.n, graph.edges, t)
     assert disconnected >= 40
+    assert {"equality fails on another component", "equality needs t >= 3"} <= notes
+
+
+def test_bound_rows_build_only_components_that_can_win(monkeypatch):
+    sparse = build_gnp(2000, 2 / 2000, seed=1)
+    assert max(map(len, bfs_components(sparse))) == 1625
+    bound = bounds.pairsum_bound
+    calls = []
+
+    def counting(graph, t):
+        calls.append(graph.n)
+        return bound(graph, t)
+
+    monkeypatch.setattr(bounds, "pairsum_bound", counting)
+    for t in (2, 3):
+        calls.clear()
+        cli.bound_rows(sparse, t)
+        assert len(calls) <= 8 and max(calls) < 1625, (t, calls)
+    for graph, kind, built in [(K5_P3, "exact", [5, 3]), (K5_P4, "lower", [5])]:
+        calls.clear()
+        rows = {r["source"]: r for r in cli.bound_rows(graph, 2)}
+        assert (rows["pairsum"]["kind"], calls) == (kind, built)
+
+
+SOUNDNESS_FAMILIES = BOUND_FAMILIES + [
+    ["multipartite", "1"], ["multipartite", "2"], ["multipartite", "3,1"],
+]
+
+
+def test_every_bound_row_is_sound(capsys):
+    """A lower row never exceeds tau_t and an exact row equals it."""
+    cases = []
+    for tokens in SOUNDNESS_FAMILIES:
+        for t in (1, 2, 3):
+            assert run_main("bound", "--family", *tokens, "--t", str(t), "--json") == 0
+            rows = json.loads(capsys.readouterr().out)["bounds"]
+            cases.append((cli.resolve_family(tokens)[0], t, rows))
+    rng = random.Random(12)
+    for i in range(90):
+        graph = random_graph(rng, 1 + i % 7, rng.choice([0.2, 0.4, 0.7]))
+        t = 1 + i % 3
+        cases.append((graph, t, cli.bound_rows(graph, t)))
+    for graph, t, rows in cases:
+        outcome = tau_exact(graph, t, solver.SearchBudget(max_nodes=200_000))
+        assert outcome.status == solver.EXACT
+        for row in rows:
+            if row["value"] is None:
+                continue
+            if row["kind"] == "lower":
+                assert row["value"] <= outcome.value, (graph.edges, t, row)
+            elif row["kind"] == "exact":
+                assert row["value"] == outcome.value, (graph.edges, t, row)
 
 
 def test_verify_json_mode(star_files, capsys):

@@ -123,6 +123,8 @@ def test_parse_family_errors():
         parse_family("")
     with pytest.raises(ValueError):
         parse_family("3 1\n0 1 2\n1 2 0\n")  # missing a row
+    with pytest.raises(ValueError, match="order"):
+        parse_family("0 999999999999\n")  # rejected before building any square
     # non-orthogonal pair must be rejected by validation
     sq = "0 1\n1 0"
     with pytest.raises(ValueError):
