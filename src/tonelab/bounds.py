@@ -16,18 +16,17 @@ from .graphs import Graph, connected_components, distance_ball
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One formula's verdict: a value with its kind, or why it doesn't apply."""
+    """One formula's verdict: a value with its kind, or None and why the
+    formula does not apply."""
 
     value: Optional[int]
     kind: str  # "lower" | "exact" | "upper"
-    source: str
-    applicable: bool = True
     reason: str = ""
 
     def __post_init__(self):
         if self.kind not in ("lower", "exact", "upper"):
             raise ValueError(f"bad bound kind {self.kind!r}")
-        if not self.applicable and not self.reason:
+        if self.value is None and not self.reason:
             raise ValueError("inapplicable bound needs a reason")
 
 
@@ -103,14 +102,8 @@ def pairsum_bound(graph: Graph, t: int) -> BoundReport:
     value = t * graph.n - deficiency
     threshold = (graph.n - 1) * (diameter - 1)
     if t >= threshold:
-        return BoundReport(value, "exact", "pairsum")
-    return BoundReport(
-        value,
-        "lower",
-        "pairsum",
-        applicable=True,
-        reason=f"equality needs t >= {threshold}",
-    )
+        return BoundReport(value, "exact")
+    return BoundReport(value, "lower", f"equality needs t >= {threshold}")
 
 
 def component_pairsum(
@@ -175,7 +168,7 @@ def component_pairsum(
             kind, note = "lower", "equality fails on another component"
     if len(comps) > 1:
         note += f"; max over {len(comps)} components"
-    return BoundReport(win.value, kind, "pairsum", reason=note)
+    return BoundReport(win.value, kind, note)
 
 
 def star_formula(k: int, t: int) -> BoundReport:
@@ -184,13 +177,9 @@ def star_formula(k: int, t: int) -> BoundReport:
         raise ValueError("need k >= 1 and t >= 1")
     if t < k:
         return BoundReport(
-            None,
-            "exact",
-            "star_formula",
-            applicable=False,
-            reason=f"needs t >= k (got t={t}, k={k}); use the exact solver",
+            None, "exact", f"needs t >= k (got t={t}, k={k}); use the exact solver"
         )
-    return BoundReport((k + 1) * t - math.comb(k, 2), "exact", "star_formula")
+    return BoundReport((k + 1) * t - math.comb(k, 2), "exact")
 
 
 class MultipartiteLower(NamedTuple):

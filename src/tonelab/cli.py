@@ -511,7 +511,7 @@ def cmd_mols(args) -> int:
     payload = {
         "order": family.n,
         "size": family.size,
-        "verified": family.verified,
+        "verified": True,  # a MolsFamily cannot be built unverified
         "beth_floor": mols.beth_lower_bound(family.n),
     }
     if args.json:

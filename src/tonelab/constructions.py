@@ -27,7 +27,9 @@ from .graphs import (
     distance_ball,
 )
 from .mols import MolsFamily
-from .solver import SearchBudget, _candidate_sets, _prepare, _witness_from, tau_exact
+from .solver import (
+    SearchBudget, _candidate_sets, _Meter, _prepare, _witness_from, tau_exact
+)
 
 
 def _checked(graph: Graph, coloring: ToneColoring) -> ToneColoring:
@@ -167,8 +169,6 @@ def mols_coloring_knn(family: MolsFamily, t: int) -> ToneColoring:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not family.verified:
-        raise ValueError("family must be validated before use")
     if family.size < t:
         raise ValueError(
             f"need at least {t} squares, family has {family.size}"
@@ -255,10 +255,11 @@ def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
 def _greedy(graph: Graph, prep, t: int, cap: int) -> Optional[ToneColoring]:
     order, partners = prep.order, prep.partners
     assign = [0] * graph.n
+    meter = _Meter()  # no budget: the greedy pass only counts its nodes
     for i, plist in enumerate(partners):
         constraints = [(assign[j], limit) for j, limit in plist]
         # used=cap disables the introduce-in-order rule: plain lex search.
-        mask = next(_candidate_sets(cap, t, cap, constraints), None)
+        mask = next(_candidate_sets(cap, t, cap, constraints, meter), None)
         if mask is None:
             return None
         assign[i] = mask

@@ -1,166 +1,159 @@
 """Latin squares: validation, orthogonality, prime families, Kronecker products.
 
-A family is never trusted from its construction algebra: every constructor
-runs the full pairwise orthogonality scan before returning. The scan codes
-each ordered cell pair of two squares as one integer and counts the codes
-with one numpy bincount per pair of squares.
+Every square and every family is validated when it is constructed, however
+it was built or loaded. A LatinSquare is n x n with int entries in 0..n-1;
+a MolsFamily holds at most n-1 Latin squares of one order n, every pair of
+them orthogonal. With entries in 0..n-1, a*n + b codes the cell pair (a, b)
+as one integer in 0..n^2-1, and one numpy bincount per pair of squares
+finds a repeated pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """n x n array over {0..n-1}; every row and column is a permutation."""
+    """n x n array over {0..n-1}; is_latin says whether every row and
+    column is a permutation."""
 
     n: int
     cells: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        n = self.n
+        if len(self.cells) != n or any(len(row) != n for row in self.cells):
+            raise ValueError("square must be n x n")
+        entries = tuple(chain.from_iterable(self.cells))
+        if entries and not (
+            set(map(type, entries)) == {int} and min(entries) >= 0 and max(entries) < n
+        ):
+            raise ValueError("entries must lie in 0..n-1")
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "LatinSquare":
-        n = len(rows)
-        cells = tuple(tuple(int(x) for x in row) for row in rows)
-        if any(len(row) != n for row in cells):
-            raise ValueError("square must be n x n")
-        if any(not (0 <= x < n) for row in cells for x in row):
-            raise ValueError("entries must lie in 0..n-1")
-        return LatinSquare(n, cells)
+        return LatinSquare(len(rows), tuple(tuple(int(x) for x in row) for row in rows))
 
     def get(self, i: int, j: int) -> int:
         return self.cells[i][j]
 
 
-def is_latin(square: LatinSquare) -> bool:
-    symbols = set(range(square.n))
-    for row in square.cells:
-        if set(row) != symbols:
-            return False
-    for j in range(square.n):
-        if {row[j] for row in square.cells} != symbols:
-            return False
-    return True
+def _cells(squares: Sequence[LatinSquare]) -> np.ndarray:
+    """The entries of squares of one order n as one (len(squares), n, n) array."""
+    n = squares[0].n
+    return np.array([s.cells for s in squares], dtype=np.intp).reshape(len(squares), n, n)
 
 
-def _has_repeat(codes: np.ndarray, space: int) -> bool:
-    """Whether the integer ``codes``, each in 0..space-1, repeat a value."""
-    if space > codes.size:
-        # sparse codes: rank them so the count below stays codes.size long
-        codes = np.unique(codes, return_inverse=True)[1]
-    return bool(np.bincount(codes).max(initial=0) > 1)
+def _squares(cells: np.ndarray) -> tuple[LatinSquare, ...]:
+    """The (m, n, n) array of entries as m squares of order n."""
+    n = cells.shape[-1]
+    return tuple(LatinSquare(n, tuple(map(tuple, rows))) for rows in cells.tolist())
 
 
-def _ranks(square: LatinSquare) -> tuple[np.ndarray, int]:
-    """The entries, flattened row-major, as dense ranks 0..k-1; and k.
-
-    Ranking sorts the Python ints themselves, so it is exact for any
-    integer entries, also in squares built without the range check.
-    """
-    values, ranks = np.unique(
-        np.array(square.cells, dtype=object).ravel(), return_inverse=True
+def _all_latin(cells: np.ndarray) -> bool:
+    """Whether every row and column of the (m, n, n) entries, each in
+    0..n-1, sorts to 0..n-1."""
+    symbols = np.arange(cells.shape[-1])
+    return bool(
+        (np.sort(cells, axis=2) == symbols).all()
+        and (np.sort(cells, axis=1) == symbols[:, None]).all()
     )
-    return ranks, len(values)
+
+
+def is_latin(square: LatinSquare) -> bool:
+    return _all_latin(_cells([square]))
+
+
+def _has_repeat(codes: np.ndarray) -> bool:
+    """Whether the non-negative integer ``codes`` repeat a value."""
+    return bool(np.bincount(codes).max(initial=0) > 1)
 
 
 def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
     """True iff the n^2 ordered entry pairs (a_ij, b_ij) are all distinct."""
     if a.n != b.n:
         raise ValueError("orders differ")
-    (ra, ka), (rb, kb) = _ranks(a), _ranks(b)
-    return not _has_repeat(ra * kb + rb, ka * kb)
+    codes = _cells([a, b]).reshape(2, -1)
+    return not _has_repeat(codes[0] * a.n + codes[1])
 
 
 @dataclass(frozen=True)
 class MolsFamily:
-    """Mutually orthogonal Latin squares of a common order."""
+    """Mutually orthogonal Latin squares of a common order.
+
+    Construction runs the full O(m^2 n^2) validation scan and raises for
+    the first pair i < j of squares that is not orthogonal.
+    """
 
     n: int
     squares: tuple[LatinSquare, ...]
-    verified: bool = False
 
-    @staticmethod
-    def checked(n: int, squares: Sequence[LatinSquare]) -> "MolsFamily":
-        """Build a family, running the full O(m^2 n^2) validation scan."""
-        squares = tuple(squares)
+    def __post_init__(self):
+        n, squares = self.n, tuple(self.squares)
+        object.__setattr__(self, "squares", squares)
         if not squares:
             raise ValueError("family must contain at least one square")
         if any(s.n != n for s in squares):
             raise ValueError("all squares must have the family order")
         if len(squares) > n - 1:
             raise ValueError(f"at most {n - 1} MOLS of order {n} can exist")
-        for s in squares:
-            if not is_latin(s):
-                raise ValueError("family contains a non-Latin square")
-        # Latin entries lie in 0..n-1, so a*n + b codes the cell pair (a, b)
-        cells = np.array([s.cells for s in squares], dtype=np.intp)
-        cells = cells.reshape(len(squares), n * n)
+        cells = _cells(squares)
+        if not _all_latin(cells):
+            raise ValueError("family contains a non-Latin square")
+        codes = cells.reshape(len(squares), n * n)
         for i in range(len(squares)):
-            scaled = cells[i] * n
+            scaled = codes[i] * n
             for j in range(i + 1, len(squares)):
-                if _has_repeat(scaled + cells[j], n * n):
+                if _has_repeat(scaled + codes[j]):
                     raise ValueError(f"squares {i} and {j} are not orthogonal")
-        return MolsFamily(n, squares, verified=True)
 
     @property
     def size(self) -> int:
         return len(self.squares)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of n in ascending order, with multiplicity; none
+    for n < 2. Each is yielded as soon as trial division finds it."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    while d * d <= n:
+        if n % d:
+            d += 1
+        else:
+            yield d
+            n //= d
+    if n > 1:
+        yield n
 
 
 def prime_mols(p: int) -> MolsFamily:
     """The classical complete family of p-1 MOLS of prime order p.
 
-    L_k(i, j) = (k*i + j) mod p for k = 1..p-1. Validated before return.
+    L_k(i, j) = (k*i + j) mod p for k = 1..p-1.
     """
-    if not _is_prime(p):
+    if next(_prime_factors(p), None) != p:
         raise ValueError(f"{p} is not prime")
-    squares = [
-        LatinSquare(p, tuple(tuple((k * i + j) % p for j in range(p)) for i in range(p)))
-        for k in range(1, p)
-    ]
-    return MolsFamily.checked(p, squares)
+    k = np.arange(1, p)[:, None, None]
+    i = np.arange(p)[:, None]
+    return MolsFamily(p, _squares((k * i + np.arange(p)) % p))
 
 
 def macneish_product(f1: MolsFamily, f2: MolsFamily) -> MolsFamily:
     """Kronecker composition: a family of order n1*n2 and size min(|f1|, |f2|).
 
     The k-th product square maps the cell ((i1,i2), (j1,j2)), flattened as
-    i1*n2+i2 and j1*n2+j2, to A_k(i1,j1)*n2 + B_k(i2,j2). Re-validated.
+    i1*n2+i2 and j1*n2+j2, to A_k(i1,j1)*n2 + B_k(i2,j2).
     """
-    if not f1.verified or not f2.verified:
-        raise ValueError("both families must be verified")
     m = min(f1.size, f2.size)
-    if m == 0:
-        raise ValueError("empty family")
     n1, n2 = f1.n, f2.n
-    n = n1 * n2
-    squares = []
-    for k in range(m):
-        a, b = f1.squares[k], f2.squares[k]
-        cells = []
-        for i1 in range(n1):
-            for i2 in range(n2):
-                row = []
-                for j1 in range(n1):
-                    for j2 in range(n2):
-                        row.append(a.cells[i1][j1] * n2 + b.cells[i2][j2])
-                cells.append(tuple(row))
-        squares.append(LatinSquare(n, tuple(cells)))
-    return MolsFamily.checked(n, squares)
+    a = _cells(f1.squares[:m])[:, :, None, :, None]  # axes k, i1, j1
+    b = _cells(f2.squares[:m])[:, None, :, None, :]  # axes k, i2, j2
+    return MolsFamily(n1 * n2, _squares((a * n2 + b).reshape(m, n1 * n2, n1 * n2)))
 
 
 def family_for_order(n: int) -> MolsFamily:
@@ -172,22 +165,14 @@ def family_for_order(n: int) -> MolsFamily:
     """
     if n < 2:
         raise ValueError("order must be >= 2")
-    factors = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            factors.append(d)
-            rest //= d
-            if rest % d == 0:
-                raise ValueError(
-                    f"order {n} has a repeated prime factor; "
-                    "supply an externally built family file"
-                )
-        else:
-            d += 1
-    if rest > 1:
-        factors.append(rest)
+    factors: list[int] = []
+    for p in _prime_factors(n):
+        if factors and factors[-1] == p:
+            raise ValueError(
+                f"order {n} has a repeated prime factor; "
+                "supply an externally built family file"
+            )
+        factors.append(p)
     family = prime_mols(factors[0])
     for p in factors[1:]:
         family = macneish_product(family, prime_mols(p))
@@ -230,7 +215,7 @@ def parse_family(text: str) -> MolsFamily:
     for b in range(m):
         block = rows[b * n : (b + 1) * n]
         squares.append(LatinSquare.from_rows([[int(x) for x in r.split()] for r in block]))
-    return MolsFamily.checked(n, squares)
+    return MolsFamily(n, squares)
 
 
 def save_family(family: MolsFamily, path) -> None:

@@ -240,7 +240,7 @@ def _candidate_sets(
     t: int,
     used: int,
     constraints: list[tuple[int, int]],
-    meter: Optional[_Meter] = None,
+    meter: _Meter,
     floor: int = 0,
 ):
     """Yield valid t-subsets of {0..k-1} as bitmasks, lexicographically.
@@ -281,11 +281,8 @@ def _candidate_sets(
     The picks form a depth-first search, run on an explicit stack. One
     node is one entry into it: the empty pick, each old-color pick that
     passes its constraint check, and each pick in the run of brand-new
-    colors. ``meter`` counts nodes and enforces the budget; without one
-    the stream is uncounted and unlimited.
+    colors. ``meter`` counts nodes and enforces the budget.
     """
-    if meter is None:
-        meter = _Meter()
     full = (1 << used) - 1
     # per old color: the open constraints (limit > 0) that one pick of it
     # draws on; colors in a spent constraint are blocked

@@ -583,6 +583,37 @@ def test_mols_subcommand(tmp_path, capsys):
     }
 
 
+def test_mols_check_error_lines_are_pinned(tmp_path, capsys):
+    # recorded at the commit where validity was still checked outside the
+    # constructors: each malformed family exits 2 with exactly one error line
+    p5 = tmp_path / "p5.ls"
+    assert run_main("mols", "--prime", "5", "-o", str(p5)) == 0
+    capsys.readouterr()
+    blocks = p5.read_text().split("\n\n")  # the first block holds the header
+    square = "0 1 2\n1 2 0\n2 0 1\n"
+    cases = {
+        "non-Latin": ("3 1\n0 1 2\n0 1 2\n0 1 2\n", "family contains a non-Latin square"),
+        # square 3 replaced by a copy of square 1: the first bad pair is (1, 3)
+        "non-orthogonal": (
+            "\n\n".join(blocks[:3] + [blocks[1]]) + "\n",
+            "squares 1 and 3 are not orthogonal",
+        ),
+        "out of range": ("3 1\n0 1 3\n1 2 0\n2 0 1\n", "entries must lie in 0..n-1"),
+        "ragged row": ("3 1\n0 1 2\n1 2\n2 0 1\n", "square must be n x n"),
+        "too many squares": (
+            f"3 3\n{square}\n0 2 1\n1 0 2\n2 1 0\n\n{square}",
+            "at most 2 MOLS of order 3 can exist",
+        ),
+        "order 0": ("0 1\n", "order must be >= 1"),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / "bad.ls"
+        path.write_text(text)
+        assert run_main("mols", "--check", str(path), "--json") == 2, name
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n"), name
+
+
 def test_family_usage_errors():
     assert run_main("solve", "--family", "blob", "3", "--t", "2") == 2
     assert run_main("solve", "--t", "2") == 2

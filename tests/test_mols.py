@@ -1,10 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from oracles import orthogonal
-from tonelab.coloring import colors_used, verify
+from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import mols_coloring_knn
 from tonelab.graphs import build_complete, cartesian_power
 from tonelab.mols import (
@@ -52,7 +53,7 @@ def test_orthogonality_order_mismatch():
 
 def test_prime_mols_3():
     fam = prime_mols(3)
-    assert fam.size == 2 and fam.verified
+    assert fam.size == 2
     assert fam.squares[0].cells == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     assert are_orthogonal(fam.squares[0], fam.squares[1])
 
@@ -73,23 +74,26 @@ def test_prime_mols_rejects_composites():
 def test_family_cap_checked():
     fam = prime_mols(3)
     with pytest.raises(ValueError):
-        MolsFamily.checked(3, list(fam.squares) * 2)  # 4 > n-1
+        MolsFamily(3, list(fam.squares) * 2)  # 4 > n-1
 
 
 def test_macneish_product():
     fam15 = macneish_product(prime_mols(3), prime_mols(5))
     assert fam15.n == 15
     assert fam15.size == 2  # min(2, 4)
-    assert fam15.verified
-    one = MolsFamily.checked(3, [prime_mols(3).squares[0]])
+    one = MolsFamily(3, [prime_mols(3).squares[0]])
     prod = macneish_product(one, prime_mols(5))
-    assert prod.size == 1 and prod.verified
+    assert prod.size == 1
 
 
 def test_macneish_requires_verified():
-    bare = MolsFamily(3, prime_mols(3).squares, verified=False)
-    with pytest.raises(ValueError):
-        macneish_product(bare, prime_mols(5))
+    # a family is verified on construction, so an unverified one cannot
+    # reach macneish_product: the raw constructor rejects it
+    squares = prime_mols(3).squares
+    with pytest.raises(ValueError, match="squares 0 and 1 are not orthogonal"):
+        MolsFamily(3, (squares[0], squares[0]))
+    with pytest.raises(ValueError, match="at most 2 MOLS of order 3"):
+        MolsFamily(3, squares + squares[:1])
 
 
 def test_family_for_order():
@@ -158,20 +162,17 @@ def test_checked_names_the_first_pair_a_pairwise_scan_finds():
                 if not orthogonal(squares[a].cells, squares[b].cells)
             )
             with pytest.raises(ValueError) as err:
-                MolsFamily.checked(p, squares)
+                MolsFamily(p, squares)
             assert str(err.value) == f"squares {first[0]} and {first[1]} are not orthogonal"
 
 
 def test_are_orthogonal_exact_on_raw_entries():
-    # the raw constructor skips the range check; entries near 2**63 collapse
-    # in float64 and past it overflow int64, so the test includes both
+    # squares need not be Latin, so the kernel also meets repeated entries
     rng = random.Random(5)
-    pool = [-7, -1, 0, 3, 9, 2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1, 2**70]
     seen = set()
     for _ in range(400):
         n = rng.randrange(1, 5)
-        width = rng.randrange(1, len(pool) + 1)
-        entries = rng.sample(pool, width)
+        entries = rng.sample(range(n), rng.randrange(1, n + 1))
 
         def square():
             return LatinSquare(
@@ -183,14 +184,70 @@ def test_are_orthogonal_exact_on_raw_entries():
         assert are_orthogonal(a, b) == expected
         seen.add(expected)
     assert seen == {True, False}
-    # 2**63 and 2**63 + 1 are one value in float64
-    big = 2**63
-    two_a = LatinSquare(2, ((big, big), (big + 1, big + 1)))
-    two_b = LatinSquare(2, ((big, big + 1), (big, big + 1)))
-    assert are_orthogonal(two_a, two_b)
-    assert not are_orthogonal(two_a, two_a)
+    # entries outside 0..n-1 never reach the kernel: the constructor rejects them
+    for bad in (-7, -1, 2**63 - 1, 2**63, 2**70, 1.0):
+        with pytest.raises(ValueError, match="entries must lie in 0..n-1"):
+            LatinSquare(2, ((0, 1), (1, bad)))
 
 
 def test_prime_101_family_verifies():
     fam = prime_mols(101)
-    assert fam.verified and fam.size == 100
+    assert fam.size == 100
+
+
+FAMILY_SHA256 = {
+    "prime 2": "2b1ecf8e2498c9b431cc20df520fb8b5d565b36fa85f3777560f4dcf2e376c27",
+    "prime 3": "e8909f5affc2e35ef88bd6a3792dbd479cdc4a370ba405f897104da295b87004",
+    "prime 5": "c3d82f4ad108431d8ac5307d672c6a8cf121244007eb210ef2f38f8ba2ccbf7a",
+    "prime 7": "06e2225c37a737662e7cc9129095a7bc1d1c3856951bb076f63234cc2b0ed62e",
+    "prime 11": "d79e26ccbb56e40d31fe0233e987931b2e4396739677891d7c58554725b6f16e",
+    "prime 47": "fbfa63e6b63b485da4083a9f8972f13d8d84cf95693e2683caf41e6d542d45ef",
+    "prime 101": "017c2fc058ead121229bf0f977716d694a6beac703ec56b76829edda0cff3e29",
+    "order 15": "6582b11e911157bcd569e616419c80bea716d833f95aa13a522ac7aae8f6ffdf",
+    "order 21": "55982ad9ea3a7887a6637cdb70e666d14e466c2544b8ef7502adaf4d3a519363",
+    "order 35": "0dd8e26f02137ae7bd26dc563438a66bfb79e06b8d283e326a20e3ea6908502e",
+    "product 3 7": "55982ad9ea3a7887a6637cdb70e666d14e466c2544b8ef7502adaf4d3a519363",
+}
+
+KNN_SHA256 = {
+    5: [
+        "9d5d0f8fbf07195e5a8669286ed73b302ddb17bf62bb9cb68b5acbcadc0a6c7e",
+        "f5e71d873e70a8cb5aabe3aed3e63b5c70c74da4db64afe5a3dbf7860b4a1d42",
+        "678f0c0162b792ba10b35b86d3dd30be7770aaa4f98d5b17804942c0118d79de",
+        "5f77fbfeed3f39bd52e56e196131988d58a2228c67d11964ffa05f513e1fdfb6",
+    ],
+    7: [
+        "4a46dc0798731af8b29a88597ee2372183bb6b6a85d0308fb21f687c16a9f1c2",
+        "b22191e76c664a04276ece3245c67fc3ba81522b9ad727fe35f719a2a39412bc",
+        "e796fb7167cf8b42bcfa493777862b5ec67b84117f58402794e08756093c15cc",
+        "20c249dde964a34da4954dfa213af8a1039904fd4379e62761569509be0744c0",
+        "86797e5e8fb4f9b648e51ece6097ff34fc7e03b86d91ce039102cb5b34e4f3fb",
+        "0ea481a9b1a6c03342eb43ea08aeaddee5736bfc36e8361c39cf53860371577d",
+    ],
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_family_bytes_are_pinned():
+    # recorded from the tuple-by-tuple constructions; a construction that
+    # reorders squares, rows or cells changes these files
+    built = {f"prime {p}": lambda p=p: prime_mols(p) for p in (2, 3, 5, 7, 11, 47, 101)}
+    built.update({f"order {n}": lambda n=n: family_for_order(n) for n in (15, 21, 35)})
+    built["product 3 7"] = lambda: macneish_product(prime_mols(3), prime_mols(7))
+    assert built.keys() == FAMILY_SHA256.keys()
+    for name, build in built.items():
+        assert _sha256(format_family(build())) == FAMILY_SHA256[name], name
+
+
+def test_knn_colorings_are_pinned():
+    for n, expected in KNN_SHA256.items():
+        family = prime_mols(n)
+        assert len(expected) == family.size
+        got = [
+            _sha256(format_coloring(mols_coloring_knn(family, t)))
+            for t in range(1, family.size + 1)
+        ]
+        assert got == expected, n

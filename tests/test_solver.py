@@ -284,7 +284,7 @@ def test_candidate_generator_completeness():
     """
     from itertools import combinations
 
-    from tonelab.solver import _candidate_sets
+    from tonelab.solver import _candidate_sets, _Meter
 
     rng = random.Random(31)
     for _ in range(300):
@@ -299,7 +299,7 @@ def test_candidate_generator_completeness():
             for c in rng.sample(range(used), min(size, used)):
                 mask |= 1 << c
             constraints.append((mask, rng.randrange(0, t + 1)))
-        got = list(_candidate_sets(k, t, used, list(constraints)))
+        got = list(_candidate_sets(k, t, used, list(constraints), _Meter()))
 
         def canonical(subset):
             new = [c for c in subset if c >= used]
@@ -359,7 +359,7 @@ def test_candidate_generator_floor_cuts_only_earlier_masks():
 def test_twin_floor_admits_equal_sets():
     """S_2 has tau_1 = 2 only with both leaves on one color, so a floor
     that excluded the previous twin's own set would report 3."""
-    from tonelab.solver import _candidate_sets
+    from tonelab.solver import _candidate_sets, _Meter
 
     s2 = build_star(2)
     out = tau_exact(s2, 1)
@@ -367,7 +367,7 @@ def test_twin_floor_admits_equal_sets():
     assert out.witness.assignment[1] == out.witness.assignment[2]
     assert feasible(s2, 1, 2).status == FEASIBLE
     # the second leaf, beside the center {0} and the first leaf {1}
-    assert list(_candidate_sets(2, 1, 2, [(0b01, 0), (0b10, 1)], None, 0b10)) == [0b10]
+    assert list(_candidate_sets(2, 1, 2, [(0b01, 0), (0b10, 1)], _Meter(), 0b10)) == [0b10]
 
 
 def test_tau_exact_matches_brute_force_on_trees_and_twins():
