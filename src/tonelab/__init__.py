@@ -28,7 +28,6 @@ from .coloring import (
     verify,
 )
 from .constructions import (
-    greedy_heuristic_coloring,
     greedy_large_t_coloring,
     mols_coloring_knn,
     multipartite_coloring,
@@ -53,10 +52,7 @@ from .graphs import (
     save_graph,
 )
 from .mols import (
-    LatinSquare,
     MolsFamily,
-    are_orthogonal,
-    is_latin,
     macneish_product,
     prime_mols,
 )

@@ -494,18 +494,19 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_mols(args) -> int:
+    sources = (args.prime, args.order, args.check, args.product)
+    if sum(source is not None for source in sources) != 1:
+        raise UsageError("choose one of --prime, --order, --check, --product")
     if args.prime is not None:
         family = mols.prime_mols(args.prime)
     elif args.order is not None:
         family = mols.family_for_order(args.order)
-    elif args.check:
+    elif args.check is not None:
         family = mols.load_family(args.check)
-    elif args.product:
+    else:
         family = mols.macneish_product(
             mols.load_family(args.product[0]), mols.load_family(args.product[1])
         )
-    else:
-        raise UsageError("choose one of --prime, --order, --check, --product")
     if args.output:
         mols.save_family(family, args.output)
     payload = {

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import bounds
 from .coloring import ToneColoring, verify
 from .graphs import (
@@ -106,7 +108,6 @@ class DecompositionCertificate:
 
     proper_classes: int
     pair_classes: tuple[int, ...]
-    palette_sizes: tuple[int, ...]
 
 
 def two_tone_via_decomposition(
@@ -139,7 +140,6 @@ def two_tone_via_decomposition(
                 class_edges[i].append((local[v], local[w]))
     rows: list[Optional[list[int]]] = [None] * graph.n
     pair_classes = []
-    palette_sizes = []
     base = 0
     for members, sub_edges in zip(classes, class_edges):
         sub = Graph(len(members), sub_edges)
@@ -152,10 +152,9 @@ def two_tone_via_decomposition(
             a, b = pairs[sub_color[idx]]
             rows[v] = [base + a, base + b]
         pair_classes.append(m_i)
-        palette_sizes.append(size)
         base += size
     coloring = _checked(graph, ToneColoring(2, base, rows))
-    cert = DecompositionCertificate(khat, tuple(pair_classes), tuple(palette_sizes))
+    cert = DecompositionCertificate(khat, tuple(pair_classes))
     return coloring, cert
 
 
@@ -174,12 +173,10 @@ def mols_coloring_knn(family: MolsFamily, t: int) -> ToneColoring:
             f"need at least {t} squares, family has {family.size}"
         )
     n = family.n
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            rows.append(sorted(i * n + family.squares[i].get(a, b) for i in range(t)))
+    # row a*n + b is vertex (a, b); each row ascends, since L_i < n
+    rows = (family.cells[:t] + n * np.arange(t)[:, None, None]).reshape(t, n * n).T
     graph = cartesian_power(build_complete(n), 2)
-    return _checked(graph, ToneColoring(t, t * n, rows))
+    return _checked(graph, ToneColoring(t, t * n, rows.tolist()))
 
 
 def star_coloring(k: int, t: int) -> ToneColoring:
@@ -219,20 +216,6 @@ def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
         rows.extend(sorted(remap[c] for c in row) for row in leaf_rows)
         base += len(used)
     return _checked(graph, ToneColoring(t, base, rows))
-
-
-def greedy_heuristic_coloring(
-    graph: Graph, t: int, palette_cap: int
-) -> Optional[ToneColoring]:
-    """Empirical upper bounds: vertices in the exact search's order, each
-    taking the lexicographically smallest t-subset of the palette that
-    respects every already-colored vertex within distance t (the search's
-    own constraint lists, from _prepare). Returns None as soon as some
-    vertex has no valid set.
-    """
-    if palette_cap < t:
-        raise ValueError("palette_cap must be at least t")
-    return _greedy(graph, _prepare(graph, t), t, palette_cap)
 
 
 def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:

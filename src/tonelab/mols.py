@@ -1,58 +1,19 @@
-"""Latin squares: validation, orthogonality, prime families, Kronecker products.
+"""Mutually orthogonal Latin squares: prime families, Kronecker products, files.
 
-Every square and every family is validated when it is constructed, however
-it was built or loaded. A LatinSquare is n x n with int entries in 0..n-1;
-a MolsFamily holds at most n-1 Latin squares of one order n, every pair of
-them orthogonal. With entries in 0..n-1, a*n + b codes the cell pair (a, b)
-as one integer in 0..n^2-1, and one numpy bincount per pair of squares
-finds a repeated pair.
+A family is one read-only (size, n, n) integer array, validated when it is
+constructed, however it was built or loaded: every entry lies in 0..n-1,
+there are at most n-1 squares, each is Latin, and every pair of them is
+orthogonal. There is no per-square object. With entries in 0..n-1, a*n + b
+codes the cell pair (a, b) as one integer in 0..n^2-1, and one numpy
+bincount per pair of squares finds a repeated pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LatinSquare:
-    """n x n array over {0..n-1}; is_latin says whether every row and
-    column is a permutation."""
-
-    n: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.n
-        if len(self.cells) != n or any(len(row) != n for row in self.cells):
-            raise ValueError("square must be n x n")
-        entries = tuple(chain.from_iterable(self.cells))
-        if entries and not (
-            set(map(type, entries)) == {int} and min(entries) >= 0 and max(entries) < n
-        ):
-            raise ValueError("entries must lie in 0..n-1")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "LatinSquare":
-        return LatinSquare(len(rows), tuple(tuple(int(x) for x in row) for row in rows))
-
-    def get(self, i: int, j: int) -> int:
-        return self.cells[i][j]
-
-
-def _cells(squares: Sequence[LatinSquare]) -> np.ndarray:
-    """The entries of squares of one order n as one (len(squares), n, n) array."""
-    n = squares[0].n
-    return np.array([s.cells for s in squares], dtype=np.intp).reshape(len(squares), n, n)
-
-
-def _squares(cells: np.ndarray) -> tuple[LatinSquare, ...]:
-    """The (m, n, n) array of entries as m squares of order n."""
-    n = cells.shape[-1]
-    return tuple(LatinSquare(n, tuple(map(tuple, rows))) for rows in cells.tolist())
 
 
 def _all_latin(cells: np.ndarray) -> bool:
@@ -65,56 +26,45 @@ def _all_latin(cells: np.ndarray) -> bool:
     )
 
 
-def is_latin(square: LatinSquare) -> bool:
-    return _all_latin(_cells([square]))
-
-
-def _has_repeat(codes: np.ndarray) -> bool:
-    """Whether the non-negative integer ``codes`` repeat a value."""
-    return bool(np.bincount(codes).max(initial=0) > 1)
-
-
-def are_orthogonal(a: LatinSquare, b: LatinSquare) -> bool:
-    """True iff the n^2 ordered entry pairs (a_ij, b_ij) are all distinct."""
-    if a.n != b.n:
-        raise ValueError("orders differ")
-    codes = _cells([a, b]).reshape(2, -1)
-    return not _has_repeat(codes[0] * a.n + codes[1])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolsFamily:
-    """Mutually orthogonal Latin squares of a common order.
+    """Mutually orthogonal Latin squares of a common order n.
 
-    Construction runs the full O(m^2 n^2) validation scan and raises for
-    the first pair i < j of squares that is not orthogonal.
+    ``cells`` is a (size, n, n) array; ``cells[k, i, j]`` is the entry of
+    square k in row i and column j. Construction copies it, makes the copy
+    read-only, and runs the full O(m^2 n^2) validation scan, which raises
+    for the first pair i < j of squares that is not orthogonal.
     """
 
     n: int
-    squares: tuple[LatinSquare, ...]
+    cells: np.ndarray
 
     def __post_init__(self):
-        n, squares = self.n, tuple(self.squares)
-        object.__setattr__(self, "squares", squares)
-        if not squares:
+        n = self.n
+        if not len(self.cells):
             raise ValueError("family must contain at least one square")
-        if any(s.n != n for s in squares):
-            raise ValueError("all squares must have the family order")
-        if len(squares) > n - 1:
+        cells = np.array(self.cells)
+        if cells.shape[1:] != (n, n):
+            raise ValueError("square must be n x n")
+        if cells.dtype.kind not in "iu" or ((cells < 0) | (cells >= n)).any():
+            raise ValueError("entries must lie in 0..n-1")
+        if len(cells) > n - 1:
             raise ValueError(f"at most {n - 1} MOLS of order {n} can exist")
-        cells = _cells(squares)
+        cells = cells.astype(np.intp, copy=False)  # a*n + b overflows narrow dtypes
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
         if not _all_latin(cells):
             raise ValueError("family contains a non-Latin square")
-        codes = cells.reshape(len(squares), n * n)
-        for i in range(len(squares)):
+        codes = cells.reshape(len(cells), n * n)
+        for i in range(len(codes)):
             scaled = codes[i] * n
-            for j in range(i + 1, len(squares)):
-                if _has_repeat(scaled + codes[j]):
+            for j in range(i + 1, len(codes)):
+                if np.bincount(scaled + codes[j]).max() > 1:
                     raise ValueError(f"squares {i} and {j} are not orthogonal")
 
     @property
     def size(self) -> int:
-        return len(self.squares)
+        return len(self.cells)
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -140,7 +90,7 @@ def prime_mols(p: int) -> MolsFamily:
         raise ValueError(f"{p} is not prime")
     k = np.arange(1, p)[:, None, None]
     i = np.arange(p)[:, None]
-    return MolsFamily(p, _squares((k * i + np.arange(p)) % p))
+    return MolsFamily(p, (k * i + np.arange(p)) % p)
 
 
 def macneish_product(f1: MolsFamily, f2: MolsFamily) -> MolsFamily:
@@ -151,9 +101,9 @@ def macneish_product(f1: MolsFamily, f2: MolsFamily) -> MolsFamily:
     """
     m = min(f1.size, f2.size)
     n1, n2 = f1.n, f2.n
-    a = _cells(f1.squares[:m])[:, :, None, :, None]  # axes k, i1, j1
-    b = _cells(f2.squares[:m])[:, None, :, None, :]  # axes k, i2, j2
-    return MolsFamily(n1 * n2, _squares((a * n2 + b).reshape(m, n1 * n2, n1 * n2)))
+    a = f1.cells[:m, :, None, :, None]  # axes k, i1, j1
+    b = f2.cells[:m, None, :, None, :]  # axes k, i2, j2
+    return MolsFamily(n1 * n2, (a * n2 + b).reshape(m, n1 * n2, n1 * n2))
 
 
 def family_for_order(n: int) -> MolsFamily:
@@ -191,9 +141,10 @@ def beth_lower_bound(n: int) -> int:
 def format_family(family: MolsFamily) -> str:
     """Square file format: `n m` header, then m blank-line-separated blocks
     of n rows of n space-separated integers."""
-    blocks = []
-    for sq in family.squares:
-        blocks.append("\n".join(" ".join(str(x) for x in row) for row in sq.cells))
+    blocks = (
+        "\n".join(" ".join(map(str, row)) for row in square)
+        for square in family.cells.tolist()
+    )
     return f"{family.n} {family.size}\n" + "\n\n".join(blocks) + "\n"
 
 
@@ -208,14 +159,13 @@ def parse_family(text: str) -> MolsFamily:
     if n < 1:
         # with n = 0 any m matches zero rows, and m empty squares would be built
         raise ValueError("order must be >= 1")
-    rows = [ln.strip() for ln in lines[1:] if ln.strip()]
+    rows = [ln.split() for ln in lines[1:] if ln.strip()]
     if len(rows) != n * m:
         raise ValueError(f"expected {n * m} rows, found {len(rows)}")
-    squares = []
-    for b in range(m):
-        block = rows[b * n : (b + 1) * n]
-        squares.append(LatinSquare.from_rows([[int(x) for x in r.split()] for r in block]))
-    return MolsFamily(n, squares)
+    if any(len(row) != n for row in rows):
+        raise ValueError("square must be n x n")
+    cells = np.array([[int(x) for x in row] for row in rows]).reshape(m, n, n)
+    return MolsFamily(n, cells)
 
 
 def save_family(family: MolsFamily, path) -> None:

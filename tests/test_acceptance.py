@@ -23,7 +23,7 @@ from tonelab.coloring import (
 )
 from tonelab.constructions import (
     SCHEMES,
-    greedy_heuristic_coloring,
+    _greedy,
     greedy_large_t_coloring,
     mols_coloring_knn,
     multipartite_coloring,
@@ -45,6 +45,7 @@ from tonelab.solver import (
     FEASIBLE,
     INFEASIBLE,
     SearchBudget,
+    _prepare,
     feasible,
     greedy_clique_size,
     tau_exact,
@@ -173,7 +174,7 @@ def _random_valid(rng, n_max=12, t_max=3):
         n = rng.randrange(2, n_max)
         t = rng.randrange(1, t_max + 1)
         g = random_graph(rng, n, rng.uniform(0.1, 0.6))
-        col = greedy_heuristic_coloring(g, t, t * n)
+        col = _greedy(g, _prepare(g, t), t, t * n)
         if col is not None:
             return g, col
 

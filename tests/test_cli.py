@@ -614,6 +614,23 @@ def test_mols_check_error_lines_are_pinned(tmp_path, capsys):
         assert (out, err) == ("", f"error: {message}\n"), name
 
 
+def test_mols_rejects_more_than_one_source(tmp_path, capsys):
+    # --prime 5 --order 7 used to build the order-5 family and ignore --order
+    p5 = tmp_path / "p5.ls"
+    assert run_main("mols", "--prime", "5", "-o", str(p5)) == 0
+    capsys.readouterr()
+    message = "error: choose one of --prime, --order, --check, --product\n"
+    for argv in (
+        ["--prime", "5", "--order", "7"],
+        ["--order", "15", "--check", str(p5)],
+        ["--check", str(p5), "--product", str(p5), str(p5)],
+        ["--prime", "5", "--order", "7", "--check", str(p5), "--product", str(p5), str(p5)],
+        [],
+    ):
+        assert run_main("mols", *argv, "--json") == 2, argv
+        assert capsys.readouterr() == ("", message), argv
+
+
 def test_family_usage_errors():
     assert run_main("solve", "--family", "blob", "3", "--t", "2") == 2
     assert run_main("solve", "--t", "2") == 2

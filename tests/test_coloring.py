@@ -11,8 +11,9 @@ from tonelab.coloring import (
     parse_coloring,
     verify,
 )
-from tonelab.constructions import greedy_heuristic_coloring
+from tonelab.constructions import _greedy
 from tonelab.graphs import Graph, build_complete, build_path, build_star
+from tonelab.solver import _prepare
 
 
 def test_tone_coloring_invariants():
@@ -77,7 +78,7 @@ def _random_valid_coloring(rng, n_max=12, t_max=3):
         t = rng.randrange(1, t_max + 1)
         g = random_graph(rng, n, rng.uniform(0.1, 0.6))
         cap = t * n
-        col = greedy_heuristic_coloring(g, t, cap)
+        col = _greedy(g, _prepare(g, t), t, cap)
         if col is not None:
             return g, col
 

@@ -9,8 +9,8 @@ from tonelab.bounds import degree_lower_bound, distance_deficiency, tree2tone_fo
 from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import (
     SCHEMES,
+    _greedy,
     greedy_heuristic_climb,
-    greedy_heuristic_coloring,
     greedy_large_t_coloring,
     greedy_proper_coloring,
     mols_coloring_knn,
@@ -30,6 +30,7 @@ from tonelab.graphs import (
     cartesian_power,
 )
 from tonelab.mols import prime_mols
+from tonelab.solver import _prepare
 
 
 def test_greedy_large_t_star():
@@ -80,7 +81,7 @@ def test_decomposition_k2():
     col, cert = two_tone_via_decomposition(g)
     assert cert.proper_classes == 2
     assert cert.pair_classes == (1, 1)
-    assert sum(cert.palette_sizes) == 6  # worst-case allotment
+    assert col.palette_size == 6  # worst-case allotment
     assert verify(g, col).valid
 
 
@@ -168,11 +169,11 @@ def test_multipartite_single_part():
 
 
 def test_greedy_heuristic_paths_and_cliques():
-    col = greedy_heuristic_coloring(build_path(4), 2, 5)
+    p4, k3, p3 = build_path(4), build_complete(3), build_path(3)
+    col = _greedy(p4, _prepare(p4, 2), 2, 5)
     assert col is not None and colors_used(col) <= 5
-    assert greedy_heuristic_coloring(build_complete(3), 2, 5) is None
-    with pytest.raises(ValueError):
-        greedy_heuristic_coloring(build_path(3), 3, 2)
+    assert _greedy(k3, _prepare(k3, 2), 2, 5) is None
+    assert _greedy(p3, _prepare(p3, 3), 3, 2) is None  # a cap below t fits no set
 
 
 def test_greedy_heuristic_on_random_trees():
@@ -181,7 +182,7 @@ def test_greedy_heuristic_on_random_trees():
         n = rng.randrange(2, 201)
         tree = random_tree(rng, n, max_degree=8)
         cap = tree2tone_formula(tree.max_degree) + 3
-        col = greedy_heuristic_coloring(tree, 2, cap)
+        col = _greedy(tree, _prepare(tree, 2), 2, cap)
         assert col is not None
         assert verify(tree, col).valid
 
@@ -209,7 +210,7 @@ def lex_first_greedy(graph, t, cap):
 def fixed_cap_climb(graph, t, cap):
     """The palette-cap climb as written before greedy_heuristic_climb."""
     while True:
-        coloring = greedy_heuristic_coloring(graph, t, cap)
+        coloring = _greedy(graph, _prepare(graph, t), t, cap)
         if coloring is not None:
             return coloring
         cap += 1
@@ -222,7 +223,7 @@ def test_greedy_heuristic_matches_lex_first_reference():
         g = random_graph(rng, rng.randrange(1, 16), rng.choice([0.1, 0.2, 0.4]))
         t = rng.randrange(1, 4)
         for cap in range(t, t + 8):
-            col = greedy_heuristic_coloring(g, t, cap)
+            col = _greedy(g, _prepare(g, t), t, cap)
             want = lex_first_greedy(g, t, cap)
             assert (col and col.assignment) == want, (sorted(g.edges), t, cap)
             assert col is None or col.palette_size == cap

@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from oracles import orthogonal
@@ -9,13 +10,10 @@ from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import mols_coloring_knn
 from tonelab.graphs import build_complete, cartesian_power
 from tonelab.mols import (
-    LatinSquare,
     MolsFamily,
-    are_orthogonal,
     beth_lower_bound,
     family_for_order,
     format_family,
-    is_latin,
     macneish_product,
     parse_family,
     prime_mols,
@@ -23,46 +21,56 @@ from tonelab.mols import (
 
 
 def test_is_latin():
-    assert is_latin(LatinSquare.from_rows([[0, 1], [1, 0]]))
-    assert not is_latin(LatinSquare.from_rows([[0, 1], [0, 1]]))
+    assert MolsFamily(2, [[[0, 1], [1, 0]]]).size == 1
+    with pytest.raises(ValueError, match="non-Latin"):
+        MolsFamily(2, [[[0, 1], [0, 1]]])  # Latin rows, repeated columns
     with pytest.raises(ValueError):
-        LatinSquare.from_rows([[0, 1], [0]])
-    with pytest.raises(ValueError):
-        LatinSquare.from_rows([[0, 2], [2, 0]])
+        MolsFamily(2, [[[0, 1], [0]]])
+    with pytest.raises(ValueError, match="entries must lie in 0..n-1"):
+        MolsFamily(2, [[[0, 2], [2, 0]]])
 
 
 def test_order_two_squares_not_orthogonal():
-    a = LatinSquare.from_rows([[0, 1], [1, 0]])
-    b = LatinSquare.from_rows([[1, 0], [0, 1]])
-    assert not are_orthogonal(a, b)  # N(2) = 1
-    assert not are_orthogonal(a, a)
+    a = [[0, 1], [1, 0]]
+    b = [[1, 0], [0, 1]]
+    assert not orthogonal(a, b) and not orthogonal(a, a)
+    # N(2) = 1, so the cap rejects any pair of order 2 before the scan
+    for pair in ([a, b], [a, a]):
+        with pytest.raises(ValueError, match="at most 1 MOLS of order 2"):
+            MolsFamily(2, pair)
 
 
 def test_self_is_never_orthogonal():
     for p in (3, 5):
-        sq = prime_mols(p).squares[0]
-        assert not are_orthogonal(sq, sq)
+        sq = prime_mols(p).cells[0]
+        with pytest.raises(ValueError, match="squares 0 and 1 are not orthogonal"):
+            MolsFamily(p, [sq, sq])
 
 
 def test_orthogonality_order_mismatch():
-    a = LatinSquare.from_rows([[0, 1], [1, 0]])
-    b = prime_mols(3).squares[0]
+    a = [[0, 1], [1, 0]]
+    b = prime_mols(3).cells[0]
+    with pytest.raises(ValueError, match="square must be n x n"):
+        MolsFamily(3, [a])
     with pytest.raises(ValueError):
-        are_orthogonal(a, b)
+        MolsFamily(3, [a, b.tolist()])
 
 
 def test_prime_mols_3():
     fam = prime_mols(3)
     assert fam.size == 2
-    assert fam.squares[0].cells == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert are_orthogonal(fam.squares[0], fam.squares[1])
+    assert fam.cells[0].tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert orthogonal(*fam.cells.tolist())
 
 
 def test_prime_mols_sizes():
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         fam = prime_mols(p)
         assert fam.size == p - 1
-        assert all(is_latin(sq) for sq in fam.squares)
+        symbols = list(range(p))
+        for square in fam.cells.tolist():
+            assert all(sorted(row) == symbols for row in square)
+            assert all(sorted(col) == symbols for col in zip(*square))
 
 
 def test_prime_mols_rejects_composites():
@@ -74,14 +82,14 @@ def test_prime_mols_rejects_composites():
 def test_family_cap_checked():
     fam = prime_mols(3)
     with pytest.raises(ValueError):
-        MolsFamily(3, list(fam.squares) * 2)  # 4 > n-1
+        MolsFamily(3, np.concatenate([fam.cells, fam.cells]))  # 4 > n-1
 
 
 def test_macneish_product():
     fam15 = macneish_product(prime_mols(3), prime_mols(5))
     assert fam15.n == 15
     assert fam15.size == 2  # min(2, 4)
-    one = MolsFamily(3, [prime_mols(3).squares[0]])
+    one = MolsFamily(3, prime_mols(3).cells[:1])
     prod = macneish_product(one, prime_mols(5))
     assert prod.size == 1
 
@@ -89,11 +97,20 @@ def test_macneish_product():
 def test_macneish_requires_verified():
     # a family is verified on construction, so an unverified one cannot
     # reach macneish_product: the raw constructor rejects it
-    squares = prime_mols(3).squares
+    cells = prime_mols(3).cells
     with pytest.raises(ValueError, match="squares 0 and 1 are not orthogonal"):
-        MolsFamily(3, (squares[0], squares[0]))
+        MolsFamily(3, cells[[0, 0]])
     with pytest.raises(ValueError, match="at most 2 MOLS of order 3"):
-        MolsFamily(3, squares + squares[:1])
+        MolsFamily(3, cells[[0, 1, 0]])
+
+
+def test_family_owns_a_read_only_copy():
+    cells = prime_mols(5).cells.copy()
+    fam = MolsFamily(5, cells)
+    cells[[0, 1]] = cells[[1, 0]]
+    assert np.array_equal(fam.cells, prime_mols(5).cells)
+    with pytest.raises(ValueError):
+        fam.cells[0, 0, 0] = 1
 
 
 def test_family_for_order():
@@ -118,7 +135,7 @@ def test_family_file_round_trip():
     text = format_family(fam)
     again = parse_family(text)
     assert again.n == fam.n and again.size == fam.size
-    assert again.squares == fam.squares
+    assert np.array_equal(again.cells, fam.cells)
     assert format_family(again) == text  # bit-identical
 
 
@@ -144,22 +161,17 @@ def test_checked_names_the_first_pair_a_pairwise_scan_finds():
     # squares j and p-2 become square i with two rows swapped: still Latin,
     # and the other rows (fixed points of the swap) repeat the pairs (x, x)
     for p in (5, 7, 11):
-        base = prime_mols(p).squares
+        base = prime_mols(p).cells
         for i, j in combinations(range(p - 1), 2):
-            rows = list(base[i].cells)
-            rows[0], rows[1] = rows[1], rows[0]
-            squares = list(base)
-            squares[j] = squares[p - 2] = LatinSquare(p, tuple(rows))
-            assert is_latin(squares[j]) and not orthogonal(base[i].cells, rows)
+            swapped = base[i][[1, 0, *range(2, p)]]
+            assert MolsFamily(p, [swapped]).size == 1  # Latin
+            assert not orthogonal(base[i].tolist(), swapped.tolist())
+            squares = base.copy()
+            squares[j] = squares[p - 2] = swapped
             first = next(
                 (a, b)
                 for a, b in combinations(range(p - 1), 2)
-                if not are_orthogonal(squares[a], squares[b])
-            )
-            assert first == next(
-                (a, b)
-                for a, b in combinations(range(p - 1), 2)
-                if not orthogonal(squares[a].cells, squares[b].cells)
+                if not orthogonal(squares[a].tolist(), squares[b].tolist())
             )
             with pytest.raises(ValueError) as err:
                 MolsFamily(p, squares)
@@ -167,27 +179,38 @@ def test_checked_names_the_first_pair_a_pairwise_scan_finds():
 
 
 def test_are_orthogonal_exact_on_raw_entries():
-    # squares need not be Latin, so the kernel also meets repeated entries
+    # a pair of Latin squares is a family exactly when the oracle calls the
+    # pair orthogonal; symbol relabelings keep each square's orthogonal
+    # mates, an independent row permutation of one square mostly loses them
     rng = random.Random(5)
     seen = set()
     for _ in range(400):
-        n = rng.randrange(1, 5)
-        entries = rng.sample(range(n), rng.randrange(1, n + 1))
+        n = rng.choice((3, 4, 5, 6, 7))
+        if n in (4, 6):
+            base = [np.add.outer(np.arange(n), np.arange(n)) % n]  # no orthogonal mate
+        else:
+            base = list(prime_mols(n).cells)
 
         def square():
-            return LatinSquare(
-                n, tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(n))
-            )
+            return np.array(rng.sample(range(n), n))[rng.choice(base)]
 
         a, b = square(), square()
-        expected = orthogonal(a.cells, b.cells)
-        assert are_orthogonal(a, b) == expected
+        if rng.random() < 0.5:
+            b = b[rng.sample(range(n), n)]
+        expected = orthogonal(a.tolist(), b.tolist())
+        try:
+            MolsFamily(n, [a, b])
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "squares 0 and 1 are not orthogonal"
+            accepted = False
+        assert accepted == expected
         seen.add(expected)
     assert seen == {True, False}
     # entries outside 0..n-1 never reach the kernel: the constructor rejects them
     for bad in (-7, -1, 2**63 - 1, 2**63, 2**70, 1.0):
         with pytest.raises(ValueError, match="entries must lie in 0..n-1"):
-            LatinSquare(2, ((0, 1), (1, bad)))
+            MolsFamily(2, [[[0, 1], [1, bad]]])
 
 
 def test_prime_101_family_verifies():
