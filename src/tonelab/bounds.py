@@ -1,8 +1,10 @@
 """Closed-form bounds and exact formulas for the t-tone chromatic number.
 
 All square roots and ceilings are evaluated with integer arithmetic
-(math.isqrt). Floating point is never consulted: an off-by-one at a
-perfect square such as sqrt(121) would silently corrupt whole tables.
+(math.isqrt): an off-by-one at a perfect square such as sqrt(121) would
+silently corrupt whole tables. The one floating-point value is
+multipartite_lower's real_value, a sum of math.sqrt terms that is only
+reported as a row; it decides nothing.
 """
 
 from __future__ import annotations

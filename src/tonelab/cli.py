@@ -43,12 +43,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _parse_parts(text: str) -> list[int]:
+    """Part sizes from an ``A,B,...`` list; empty entries are skipped."""
+    return [int(x) for x in text.split(",") if x]
 
 
 def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
@@ -58,7 +59,7 @@ def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
     tree DELTA DEPTH; knn N (the squared clique); hypercube B; gnp N P SEED.
     """
     if not tokens:
-        raise UsageError("--family needs a name")
+        raise ValueError("--family needs a name")
     name, args = tokens[0], tokens[1:]
     try:
         if name == "path":
@@ -68,7 +69,7 @@ def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
         if name == "complete":
             return build_complete(int(args[0])), f"complete {args[0]}"
         if name == "multipartite":
-            parts = [int(x) for x in args[0].split(",") if x]
+            parts = _parse_parts(args[0])
             return build_complete_multipartite(parts), f"multipartite {args[0]}"
         if name == "tree":
             return (
@@ -85,8 +86,8 @@ def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
             n, p, seed = int(args[0]), float(args[1]), int(args[2])
             return build_gnp(n, p, seed), f"gnp {args[0]} {args[1]} {args[2]}"
     except (IndexError, ValueError) as exc:
-        raise UsageError(f"bad --family arguments for {name!r}: {exc}") from exc
-    raise UsageError(f"unknown family {name!r}")
+        raise ValueError(f"bad --family arguments for {name!r}: {exc}") from exc
+    raise ValueError(f"unknown family {name!r}")
 
 
 def _input_graph(args) -> tuple[Graph, str]:
@@ -96,18 +97,18 @@ def _input_graph(args) -> tuple[Graph, str]:
         try:
             graph = load_graph(args.graph)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read graph {args.graph!r}: {exc}") from exc
+            raise ValueError(f"cannot read graph {args.graph!r}: {exc}") from exc
         if graph.n == 0:
-            raise UsageError("empty graph")
+            raise ValueError("empty graph")
         return graph, args.graph
-    raise UsageError("supply a graph file or --family")
+    raise ValueError("supply a graph file or --family")
 
 
 def _budget(args) -> solver.SearchBudget:
     nodes = getattr(args, "budget_nodes", None)
     millis = getattr(args, "budget_ms", None)
     if nodes is not None and nodes < 0 or millis is not None and not millis >= 0:
-        raise UsageError("--budget-nodes and --budget-ms must be >= 0")
+        raise ValueError("--budget-nodes and --budget-ms must be >= 0")
     if nodes is None and millis is None:
         return solver.SearchBudget()
     return solver.SearchBudget(max_nodes=nodes, max_millis=millis)
@@ -136,7 +137,7 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     graph, name = _input_graph(args)
     if args.t < 1:
-        raise UsageError("--t must be >= 1")
+        raise ValueError("--t must be >= 1")
     budget = _budget(args)
     outcome = solver.tau_exact(graph, args.t, budget)
     payload = {
@@ -246,10 +247,10 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
 def cmd_bound(args) -> int:
     graph, name = _input_graph(args)
     if args.t < 1:
-        raise UsageError("--t must be >= 1")
+        raise ValueError("--t must be >= 1")
     parts = None
     if args.family and args.family[0] == "multipartite":
-        parts = [int(x) for x in args.family[1].split(",") if x]
+        parts = _parse_parts(args.family[1])
     rows = bound_rows(graph, args.t, parts)
     if args.json:
         _emit({"instance": name, "t": args.t, "bounds": rows})
@@ -272,7 +273,7 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
     elif method == "decomp2":
         graph, name = _input_graph(args)
         if args.t not in (None, 2):
-            raise UsageError("decomp2 is a 2-tone construction")
+            raise ValueError("decomp2 is a 2-tone construction")
         coloring, cert = constructions.two_tone_via_decomposition(graph)
         info.update(
             instance=name,
@@ -281,11 +282,11 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
         )
     elif method == "mols":
         if args.n is None:
-            raise UsageError("--method mols needs --n")
+            raise ValueError("--method mols needs --n")
         if args.family_file:
             family = mols.load_family(args.family_file)
             if family.n != args.n:
-                raise UsageError("family order does not match --n")
+                raise ValueError("family order does not match --n")
         else:
             family = mols.family_for_order(args.n)
         coloring = constructions.mols_coloring_knn(family, t)
@@ -293,29 +294,29 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
         info.update(order=args.n, family_size=family.size)
     elif method == "star":
         if args.k is None:
-            raise UsageError("--method star needs --k")
+            raise ValueError("--method star needs --k")
         coloring = constructions.star_coloring(args.k, t)
         graph = build_star(args.k)
         info["k"] = args.k
     elif method == "multipartite":
         if not args.parts:
-            raise UsageError("--method multipartite needs --parts")
-        parts = [int(x) for x in args.parts.split(",") if x]
+            raise ValueError("--method multipartite needs --parts")
+        parts = _parse_parts(args.parts)
         coloring = constructions.multipartite_coloring(parts, t)
         graph = build_complete_multipartite(parts)
         info["parts"] = parts
     elif method == "scheme":
         if not args.scheme:
-            raise UsageError("--method scheme needs --scheme")
+            raise ValueError("--method scheme needs --scheme")
         spec = constructions.resolve_scheme(args.scheme)
         if args.t not in (None, spec.t):
-            raise UsageError(f"scheme {spec.name} is a {spec.t}-tone construction")
+            raise ValueError(f"scheme {spec.name} is a {spec.t}-tone construction")
         depth = args.depth if args.depth is not None else 2
         coloring = constructions.tree_scheme_coloring(args.scheme, depth)
         graph = constructions.scheme_tree(args.scheme, depth)
         info.update(scheme=args.scheme, depth=depth)
     else:
-        raise UsageError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}")
     return graph, coloring, info
 
 
@@ -408,7 +409,7 @@ def _reproduce_rows(table: str) -> list[dict]:
                     }
                 )
     else:
-        raise UsageError(f"unknown table {table!r}")
+        raise ValueError(f"unknown table {table!r}")
     return rows
 
 
@@ -470,17 +471,17 @@ def cmd_experiment(args) -> int:
     try:
         n, c, seed = int(args.gnp[0]), float(args.gnp[1]), int(args.gnp[2])
     except ValueError as exc:
-        raise UsageError(f"bad --gnp arguments: {exc}") from exc
+        raise ValueError(f"bad --gnp arguments: {exc}") from exc
     if n < 1:
-        raise UsageError("--gnp N must be >= 1")
+        raise ValueError("--gnp N must be >= 1")
     if not 0 <= c <= n:
-        raise UsageError("--gnp C must lie in [0, N]")
+        raise ValueError("--gnp C must lie in [0, N]")
     if seed < 0:
-        raise UsageError("--gnp SEED must be >= 0")
+        raise ValueError("--gnp SEED must be >= 0")
     if args.t < 1:
-        raise UsageError("--t must be >= 1")
+        raise ValueError("--t must be >= 1")
     if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
+        raise ValueError("--seeds must be >= 1")
     for k in range(args.seeds):
         row = _experiment_row(n, c, seed + k, args.t)
         if args.json:
@@ -496,7 +497,7 @@ def cmd_experiment(args) -> int:
 def cmd_mols(args) -> int:
     sources = (args.prime, args.order, args.check, args.product)
     if sum(source is not None for source in sources) != 1:
-        raise UsageError("choose one of --prime, --order, --check, --product")
+        raise ValueError("choose one of --prime, --order, --check, --product")
     if args.prime is not None:
         family = mols.prime_mols(args.prime)
     elif args.order is not None:
@@ -607,7 +608,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # ValueError: malformed input; OSError: an unreadable or unwritable path
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,7 @@ Every construction verifies its own output before returning it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -253,18 +253,6 @@ def _greedy(graph: Graph, prep, t: int, cap: int) -> Optional[ToneColoring]:
 # Recursive schemes for truncated regular trees
 # ---------------------------------------------------------------------------
 
-#: Canonical 7-point Fano plane; lines are cyclic shifts of {1,2,4} mod 7.
-CANONICAL_FANO: tuple[tuple[int, int, int], ...] = (
-    (1, 2, 4),
-    (2, 3, 5),
-    (3, 4, 6),
-    (4, 5, 7),
-    (5, 6, 1),
-    (6, 7, 2),
-    (7, 1, 3),
-)
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     name: str
@@ -273,55 +261,51 @@ class SchemeSpec:
     palette: int
     root_set: tuple[int, ...]
     level1: tuple[tuple[int, ...], ...]
-    rule: Callable[[TreeSchemeState, int], list[tuple[int, ...]]]  # child sets of v
+    # child sets of v from (sets, adjacency, v, palette)
+    rule: Callable[[list, tuple, int, int], list[tuple]]
 
 
-def _rule_t4_3tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
-    """Frame: v and its parent. With v relabeled (123) and its parent
-    (456), the children read (478), (957), (968)."""
-    a = state.sets[v]
-    b = sorted(state.sets[state.parent[v]])
-    rest = sorted(set(range(state.spec.palette)) - a - set(b))
-    return [
-        (b[0], rest[0], rest[1]),
-        (rest[2], b[1], rest[0]),
-        (rest[2], b[2], rest[1]),
-    ]
+def shared_color(sets: list, u: int, w: int) -> int:
+    """The unique color two distance-2 vertices share."""
+    inter = sets[u] & sets[w]
+    if len(inter) != 1:
+        raise AssertionError(
+            f"vertices {u} and {w} share {len(inter)} colors, expected 1"
+        )
+    return next(iter(inter))
 
 
-def _rule_t7_fano(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
-    """Frame: v and its parent. Relabel the canonical Fano plane so the
-    parent's set is a line over the 7 colors missing from v; the six
-    children take the other lines. The free points are filled in
-    lowest-available-index order."""
-    points = sorted(set(range(state.spec.palette)) - state.sets[v])
-    parent_line = sorted(state.sets[state.parent[v]])
-    phi = {1: parent_line[0], 2: parent_line[1], 4: parent_line[2]}
-    free = [p for p in points if p not in parent_line]
-    for canon, actual in zip((3, 5, 6, 7), free):
-        phi[canon] = actual
-    return [tuple(sorted(phi[x] for x in line)) for line in CANONICAL_FANO[1:]]
+def private_colors(sets: list, u: int, others: list[int]) -> list[int]:
+    """Colors of u shared with none of the given neighborhood peers."""
+    return sorted(sets[u] - {shared_color(sets, u, w) for w in others})
 
 
-def _parent_frame(state: TreeSchemeState, v: int) -> list[int]:
-    """N(p) for v's parent p: p's children, then p's parent unless p is
-    the root."""
-    p = state.parent[v]
-    return state.children[p] + ([state.parent[p]] if p else [])
+def _relabel(template: tuple[tuple[int, ...], ...]):
+    """Frame: v and its parent p. List p's colors ascending, then the
+    colors neither v nor p holds, ascending; child i of v takes the colors
+    at the positions in template row i."""
+
+    def rule(sets: list, adj: tuple, v: int, palette: int) -> list[tuple]:
+        p = sets[adj[v][0]]
+        points = sorted(p) + sorted(set(range(palette)) - sets[v] - p)
+        return [tuple(points[i] for i in row) for row in template]
+
+    return rule
 
 
-def _rule_t3_4tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
+def _rule_t3_4tone(sets: list, adj: tuple, v: int, palette: int) -> list[tuple]:
     """Frame: N(p) for v's parent p. Each frame member shares one color
     with each other member and keeps two colors private to the frame. The
     two children of v reuse p's two lowest colors, the privates of the
     other members j and l, and the color j and l share.
     """
-    frame = _parent_frame(state, v)
-    a = sorted(state.sets[state.parent[v]])
+    p = adj[v][0]
+    frame = adj[p][1:] + adj[p][:1] if p else adj[p]
+    a = sorted(sets[p])
     j, l = [u for u in frame if u != v]
-    c_jl = state.shared_color(j, l)
-    cp_j = state.private_colors(j, [u for u in frame if u != j])
-    cp_l = state.private_colors(l, [u for u in frame if u != l])
+    c_jl = shared_color(sets, j, l)
+    cp_j = private_colors(sets, j, [u for u in frame if u != j])
+    cp_l = private_colors(sets, l, [u for u in frame if u != l])
     if len(cp_j) != 2 or len(cp_l) != 2:
         raise AssertionError("frame member should keep exactly two private colors")
     return [
@@ -330,21 +314,22 @@ def _rule_t3_4tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _rule_t4_4tone(state: TreeSchemeState, v: int) -> list[tuple[int, ...]]:
+def _rule_t4_4tone(sets: list, adj: tuple, v: int, palette: int) -> list[tuple]:
     """Frame: N(p) for v's parent p, with v as member k. Follows the
     scheme's cyclic triple pattern over members k+1, k+2, k+3 (modulo 4).
     a_m is p's m-th smallest color, c(s, j) the unique color shared by
     members s and j, cp(s) the color s shares with no other member.
     """
-    frame = _parent_frame(state, v)
+    p = adj[v][0]
+    frame = adj[p][1:] + adj[p][:1] if p else adj[p]
     k = frame.index(v)
-    a = sorted(state.sets[state.parent[v]])
+    a = sorted(sets[p])
 
     def c(s: int, j: int) -> int:
-        return state.shared_color(frame[s], frame[j])
+        return shared_color(sets, frame[s], frame[j])
 
     def cp(s: int) -> int:
-        priv = state.private_colors(frame[s], [u for u in frame if u != frame[s]])
+        priv = private_colors(sets, frame[s], [u for u in frame if u != frame[s]])
         if len(priv) != 1:
             raise AssertionError("frame member should keep exactly one private color")
         return priv[0]
@@ -370,7 +355,9 @@ SCHEMES: dict[str, SchemeSpec] = {
             palette=9,
             root_set=(0, 1, 2),
             level1=((3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)),
-            rule=_rule_t4_3tone,
+            # with v relabeled (123) and its parent (456), v's children
+            # read (478), (957), (968)
+            rule=_relabel(((0, 3, 4), (5, 1, 3), (5, 2, 4))),
         ),
         # 10 colors for the 7-regular tree at t=3, recursing through Fano lines.
         SchemeSpec(
@@ -388,7 +375,13 @@ SCHEMES: dict[str, SchemeSpec] = {
                 (0, 6, 7),
                 (0, 4, 9),
             ),
-            rule=_rule_t7_fano,
+            # the Fano plane on the 7 colors missing from v: the parent's
+            # set is the canonical line {1,2,4} and the children take the
+            # other lines {1,2,4}+i mod 7 (points 1..7), with points 1, 2, 4
+            # at positions 0-2 and the free points 3, 5, 6, 7 at 3-6
+            rule=_relabel(
+                ((1, 3, 4), (3, 2, 5), (2, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 3))
+            ),
         ),
         # 13 colors for the 3-regular tree at t=4.
         SchemeSpec(
@@ -430,77 +423,26 @@ def scheme_tree(name: str, depth: int) -> Graph:
     return build_truncated_regular_tree(resolve_scheme(name).arity, depth)
 
 
-@dataclass
-class TreeSchemeState:
-    """Bookkeeping while growing a scheme coloring vertex by vertex.
-
-    All shared-color and private-color records are computed from the sets
-    actually assigned so far, so they cannot drift out of sync.
-    """
-
-    spec: SchemeSpec
-    parent: list[int]
-    children: list[list[int]]
-    sets: list[Optional[frozenset[int]]] = field(default_factory=list)
-
-    def assign(self, v: int, colors) -> None:
-        s = frozenset(colors)
-        if len(s) != self.spec.t:
-            raise AssertionError(f"scheme produced a malformed set for vertex {v}")
-        self.sets[v] = s
-
-    def shared_color(self, u: int, w: int) -> int:
-        """The unique color two distance-2 vertices share."""
-        inter = self.sets[u] & self.sets[w]
-        if len(inter) != 1:
-            raise AssertionError(
-                f"vertices {u} and {w} share {len(inter)} colors, expected 1"
-            )
-        return next(iter(inter))
-
-    def private_colors(self, u: int, others: list[int]) -> list[int]:
-        """Colors of u shared with none of the given neighborhood peers."""
-        rest = self.sets[u] - {self.shared_color(u, w) for w in others}
-        return sorted(rest)
-
-
-def _tree_structure(graph: Graph) -> tuple[list[int], list[list[int]]]:
-    """Parent and children arrays from the builder's BFS numbering: the
-    parent of a non-root vertex is its unique smaller-index neighbor."""
-    parent = [-1] * graph.n
-    children: list[list[int]] = [[] for _ in range(graph.n)]
-    for v in range(1, graph.n):
-        smaller = [w for w in graph.adjacency[v] if w < v]
-        if len(smaller) != 1:
-            raise AssertionError("graph is not a BFS-numbered tree")
-        parent[v] = smaller[0]
-        children[smaller[0]].append(v)
-    return parent, children
-
-
 def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
     """Reproduce a scheme's inductive coloring on the depth-truncated tree.
 
     The root and its children come from the fixed seed tables; the rule
-    then colors the children of each deeper vertex v in index order. The
-    rule reads v, its parent, grandparent and siblings. The tree is
-    numbered in BFS order, so all of them are colored by then: the
-    siblings with v, by their parent. The output is verified before
-    return, so a failure here means the recursion itself broke down rather
-    than a silent bad coloring.
+    then colors the children of each deeper vertex v in index order. In
+    the builder's BFS numbering v's sorted adjacency is its parent, then
+    its children, and the vertices the rule reads (v, its parent,
+    grandparent and siblings) are all colored by then. The output is
+    verified before return, so a failure here means the recursion itself
+    broke down rather than a silent bad coloring.
     """
     spec = resolve_scheme(name)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     graph = build_truncated_regular_tree(spec.arity, depth)
-    parent, children = _tree_structure(graph)
-    state = TreeSchemeState(spec, parent, children, [None] * graph.n)
-    state.assign(0, spec.root_set)
-    for child, colors in zip(children[0], spec.level1):
-        state.assign(child, colors)
+    adj = graph.adjacency
+    sets: list = [None] * graph.n
+    sets[0] = frozenset(spec.root_set)
+    for child, colors in zip(adj[0], spec.level1):
+        sets[child] = frozenset(colors)
     for v in range(1, graph.n):
-        if children[v]:
-            for child, colors in zip(children[v], spec.rule(state, v)):
-                state.assign(child, colors)
-    rows = [sorted(s) for s in state.sets]
-    return _checked(graph, ToneColoring(spec.t, spec.palette, rows))
+        if len(adj[v]) > 1:  # leaves have no children to color
+            for child, colors in zip(adj[v][1:], spec.rule(sets, adj, v, spec.palette)):
+                sets[child] = frozenset(colors)
+    return _checked(graph, ToneColoring(spec.t, spec.palette, sets))

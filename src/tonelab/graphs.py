@@ -208,8 +208,10 @@ def build_truncated_regular_tree(delta: int, depth: int) -> Graph:
 
     The root (vertex 0) has delta children; every deeper internal vertex
     has delta-1 children; leaves sit at distance ``depth`` from the root.
-    Vertices are numbered in BFS level order, so the parent of any
-    non-root vertex is its unique neighbor with a smaller index.
+    Vertices are numbered in BFS level order, children in order of their
+    parents. So every non-root vertex v has exactly one smaller neighbor,
+    its parent adjacency[v][0], followed by its children; parents are
+    non-decreasing in v. The tree schemes in constructions rely on this.
     """
     if delta < 2:
         raise ValueError("delta must be >= 2")

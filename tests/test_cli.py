@@ -385,6 +385,16 @@ def test_construct_scheme_t_must_match_the_scheme(tmp_path, capsys):
     assert load_coloring(cpath) == constructions.tree_scheme_coloring("T7_3tone", 2)
 
 
+def test_construct_scheme_rejects_negative_depth(tmp_path, capsys):
+    cpath = tmp_path / "t.col"
+    argv = ["--method", "scheme", "--scheme", "T4_3tone", "--depth", "-1"]
+    assert run_main("construct", *argv, "-o", str(cpath)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth must be >= 0\n"
+    assert not cpath.exists()
+
+
 def test_construct_large_t_star(tmp_path, capsys):
     cpath = tmp_path / "s3.col"
     code = run_main(

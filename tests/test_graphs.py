@@ -158,6 +158,18 @@ def test_truncated_tree_is_tree():
         assert is_connected(g)
 
 
+def test_truncated_tree_numbering_contract():
+    # the tree schemes read parent and children straight from adjacency
+    for delta, depth in [(2, 4), (3, 3), (4, 4), (7, 3)]:
+        adj = build_truncated_regular_tree(delta, depth).adjacency
+        assert all(w > 0 for w in adj[0])
+        parents = []
+        for v in range(1, len(adj)):
+            assert [w for w in adj[v] if w < v] == [adj[v][0]], (delta, depth, v)
+            parents.append(adj[v][0])
+        assert parents == sorted(parents), (delta, depth)
+
+
 def test_gnp_extremes_and_determinism():
     assert build_gnp(6, 0.0, 1).m == 0
     assert build_gnp(6, 1.0, 1).edges == build_complete(6).edges
