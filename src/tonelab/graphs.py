@@ -8,8 +8,8 @@ products in row-major coordinate order, trees in BFS level order.
 Every breadth-first search in the package is a distance_ball: one BFS
 from one vertex cut at a depth cap. A t-tone constraint is vacuous past
 distance t, so every distance consumer walks the distance-t ball of each
-vertex and nothing ever holds all n^2 distances at once. Components,
-connectivity and the solver's search order read uncapped balls (cap n).
+vertex and nothing ever holds all n^2 distances at once. Components and
+connectivity read uncapped balls (cap n).
 
 Graph is immutable after construction and safe to share.
 """

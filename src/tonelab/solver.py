@@ -1,8 +1,9 @@
 """Exact t-tone solver: feasibility search and optimum computation.
 
 The decision search assigns t-subsets of {0..k-1} to vertices in a fixed
-order and prunes any partial assignment in which some colored pair at
-distance d <= t already shares d colors.
+order, most constrained first (see search_order), and prunes any partial
+assignment in which some colored pair at distance d <= t already shares
+d colors.
 
 Completeness of the symmetry breaking. Masks are ordered as the candidate
 generator yields them, lexicographically on sorted color tuples: A < B
@@ -40,7 +41,9 @@ x alone, not a comparison with other colorings, so it cannot drop x in
 favor of a relative that was itself cut. Hence Infeasible means no
 coloring exists at all. Both rules read the same order, positions first,
 then colors ascending; breaking color and vertex symmetry by orders that
-disagree can cut every solution.
+disagree can cut every solution. Nothing above depends on which order the
+positions follow, only that it is fixed before the search starts, so the
+argument holds for any static search order.
 
 The twin floor is not strict: twins at distance 2 may share one color, so
 at t = 1 they may carry the same set (tau_1 of S_2 is 2 only because
@@ -67,7 +70,8 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from heapq import heapify, heappop, heappush
+from typing import Iterator, NamedTuple, Optional
 
 from . import bounds
 from .coloring import ToneColoring, verify
@@ -122,24 +126,45 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def search_order(graph: Graph) -> list[int]:
-    """Descending degree, ties broken by BFS order from a max-degree vertex.
+def search_order(graph: Graph, t: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """Most constrained first: each vertex in search order with its
+    distance-t ball.
 
-    The max-degree vertex and its neighborhood carry the binding
-    constraints, so they are placed first. Vertices are numbered in the
-    key order of uncapped distance balls, which is BFS discovery order,
-    one ball per component, each from its first vertex in degree order.
+    The next vertex is the unplaced one with the largest summed t - d + 1
+    over placed vertices at distance 1 <= d <= t, ties broken by higher
+    degree, then lower index: the static form of Brelaz's saturation rule
+    (DSATUR, CACM 1979). The first vertex is therefore a max-degree vertex
+    of lowest index, and each connected component fills a contiguous run
+    of positions, since its unplaced vertices next to placed ones score
+    above every vertex of an untouched component.
+
+    Each ball is computed once, when its vertex is placed; the caller
+    reads its placed part, the order its unplaced part. Candidates sit in
+    a lazy max-heap of one int key each; scores only grow, so a vertex's
+    newest key pops first and its stale keys after it is placed.
     """
     n = graph.n
     degs = graph.degrees
-    bfs_index = [-1] * n
-    counter = 0
-    for seed in sorted(range(n), key=lambda v: (-degs[v], v)):
-        if bfs_index[seed] < 0:
-            for u in distance_ball(graph, seed, n):
-                bfs_index[u] = counter
-                counter += 1
-    return sorted(range(n), key=lambda v: (-degs[v], bfs_index[v]))
+    # key[v] = -(score * (max degree + 1) + degree) * n + v: the least key
+    # wins, and key % n is the vertex; a vertex at distance d lowers it by
+    # gain[d]
+    key = [-degs[v] * n + v for v in range(n)]
+    gain = [(t + 1 - d) * (graph.max_degree + 1) * n for d in range(t + 1)]
+    placed = [False] * n
+    heap = key[:]
+    heapify(heap)
+    for _ in range(n):
+        v = heappop(heap) % n
+        while placed[v]:
+            v = heappop(heap) % n
+        placed[v] = True
+        ball = distance_ball(graph, v, t)
+        yield v, ball
+        for w, d in ball.items():
+            if not placed[w]:
+                k = key[w] - gain[d]
+                key[w] = k
+                heappush(heap, k)
 
 
 class _Prepared(NamedTuple):
@@ -155,25 +180,26 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     """Search order, per-position constraint lists, fresh-color floor and
     previous false twins.
 
-    partners[i] holds (earlier position, allowed shared count) for every
-    earlier vertex within distance t, read off the distance-t ball of the
-    vertex at position i and sorted by position. suffix_fresh[i] is a
-    lower bound on the number of brand-new colors positions i.. must
-    introduce: when all earlier vertices constrain position j, its old
-    picks are capped by the summed allowances, so it needs at least
-    t - sum(d-1) fresh colors (the pair-counting argument behind the
-    pairsum lower bound). Placing more colors than k - suffix_fresh[i+1]
-    admits is therefore a dead end. twin_prev[i] is the latest earlier
-    position whose vertex has the same neighborhood (a false twin), or -1.
+    One pass over search_order reads each distance-t ball once: the ball
+    of the vertex at position i gives partners[i], the (earlier position,
+    allowed shared count) of every earlier vertex within distance t,
+    sorted by position. suffix_fresh[i] is a lower bound on the number of
+    brand-new colors positions i.. must introduce: when all earlier
+    vertices constrain position j, its old picks are capped by the summed
+    allowances, so it needs at least t - sum(d-1) fresh colors (the
+    pair-counting argument behind the pairsum lower bound). Placing more
+    colors than k - suffix_fresh[i+1] admits is therefore a dead end.
+    twin_prev[i] is the latest earlier position whose vertex has the same
+    neighborhood (a false twin), or -1.
     """
-    order = search_order(graph)
-    position = [0] * graph.n
-    for i, v in enumerate(order):
-        position[v] = i
+    n = graph.n
+    order: list[int] = []
+    position = [n] * n  # n until placed
     partners: list[list[tuple[int, int]]] = []
     fresh_min: list[int] = []
-    for i, v in enumerate(order):
-        ball = distance_ball(graph, v, t)
+    for i, (v, ball) in enumerate(search_order(graph, t)):
+        order.append(v)
+        position[v] = i
         plist = [(j, d - 1) for w, d in ball.items() if (j := position[w]) < i]
         plist.sort()
         partners.append(plist)

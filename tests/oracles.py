@@ -5,9 +5,10 @@ definitions, sharing no machinery with the implementation under test:
 orthogonality of two squares as a set of cell pairs, Floyd-Warshall
 distances, a naive pair-scan verifier on sorted lists, an exact chromatic
 number by plain backtracking, `brute_force_tau`, the t-tone chromatic
-number by plain enumeration, queue-driven BFS for the search order and
-the components, and an isomorphism-class enumerator for small connected
-graphs. Nothing here imports `tonelab.solver`.
+number by plain enumeration, the most-constrained search order by plain
+rescoring, queue-driven BFS for the components, and an isomorphism-class
+enumerator for small connected graphs. Nothing here imports
+`tonelab.solver`.
 
 Some references keep earlier implementations of package code instead,
 for tests that require the current code to agree with them exactly:
@@ -52,29 +53,28 @@ def floyd_warshall(graph: Graph) -> np.ndarray:
     return d
 
 
-def bfs_search_order(graph: Graph) -> list[int]:
-    """Descending degree, ties broken by the index at which a FIFO-queue
-    BFS reaches each vertex; the BFS restarts in each unseen component
-    from its first vertex in (descending degree, index) order."""
-    n = graph.n
-    degs = graph.degrees
-    bfs_index = [-1] * n
-    counter = 0
-    seen = [False] * n
-    for seed in sorted(range(n), key=lambda v: (-degs[v], v)):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            bfs_index[u] = counter
-            counter += 1
-            for w in graph.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return sorted(range(n), key=lambda v: (-degs[v], bfs_index[v]))
+def most_constrained_order(graph: Graph, t: int) -> list[int]:
+    """Most constrained first by plain scanning: each step takes the
+    unplaced vertex with the highest score, then the highest degree, then
+    the lowest index, and adds t - d + 1 to the score of every unplaced
+    vertex at distance 1 <= d <= t from it. O(n^2) pair lookups."""
+    dist = _plain_distances(graph, cap=t)
+    degs = [0] * graph.n
+    for u, v in graph.edges:
+        degs[u] += 1
+        degs[v] += 1
+    score = [0] * graph.n
+    order: list[int] = []
+    left = set(range(graph.n))
+    while left:
+        best = min(left, key=lambda u: (-score[u], -degs[u], u))
+        order.append(best)
+        left.remove(best)
+        for u in left:
+            d = dist.get((min(u, best), max(u, best)))
+            if d is not None:
+                score[u] += t - d + 1
+    return order
 
 
 def bfs_components(graph: Graph) -> list[list[int]]:

@@ -648,12 +648,12 @@ def test_family_usage_errors():
 
 
 def test_experiment_row_is_pinned(capsys):
-    # recorded before the palette-cap climb shared one _prepare across caps
+    # the greedy colors in search order, so this row pins that order too
     assert run_main("experiment", "--gnp", "4000", "2", "42", "--t", "3", "--json") == 0
     assert capsys.readouterr().out == (
-        '{"c": 2.0, "decomp_upper": null, "edges": 3955, "greedy_upper": 13, '
-        '"lower": 11, "max_degree": 8, "n": 4000, "ratio": 1.876388, "seed": 42, '
-        '"t": 3, "upper": 13}\n'
+        '{"c": 2.0, "decomp_upper": null, "edges": 3955, "greedy_upper": 12, '
+        '"lower": 11, "max_degree": 8, "n": 4000, "ratio": 1.732051, "seed": 42, '
+        '"t": 3, "upper": 12}\n'
     )
 
 

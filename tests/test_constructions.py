@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import bfs_search_order, floyd_warshall, random_graph, random_tree
+from oracles import floyd_warshall, most_constrained_order, random_graph, random_tree
 from tonelab.bounds import degree_lower_bound, distance_deficiency, tree2tone_formula
 from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import (
@@ -188,12 +188,12 @@ def test_greedy_heuristic_on_random_trees():
 
 
 def lex_first_greedy(graph, t, cap):
-    """Reference greedy: in queue-BFS search order, each vertex takes the
+    """Reference greedy: in most-constrained order, each vertex takes the
     first t-subset of range(cap), in itertools order, sharing fewer than d
     colors with every earlier vertex at distance d <= t; None on a miss."""
     dist = floyd_warshall(graph)
     sets = {}
-    for v in bfs_search_order(graph):
+    for v in most_constrained_order(graph, t):
         sets[v] = next(
             (
                 set(combo)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import bfs_components, bfs_search_order, floyd_warshall, gnp_by_rows, random_graph
+from oracles import (
+    bfs_components,
+    floyd_warshall,
+    gnp_by_rows,
+    most_constrained_order,
+    random_graph,
+)
 from tonelab.coloring import verify
 from tonelab.constructions import two_tone_via_decomposition
 from tonelab.graphs import (
@@ -323,7 +329,8 @@ def test_connected_components():
 
 
 def test_components_and_search_order_match_queue_bfs():
-    # both read uncapped distance balls; the references are queue BFS
+    # components read uncapped distance balls, the search order distance-t
+    # balls; the references are queue BFS and plain rescanning
     rng = random.Random(1117)
     disconnected = isolated = 0
     graphs = [Graph(0), Graph(1), Graph(6), build_star(5), build_path(7)]
@@ -334,7 +341,9 @@ def test_components_and_search_order_match_queue_bfs():
         comps = connected_components(g)
         assert comps == bfs_components(g)
         assert is_connected(g) == (len(comps) <= 1)
-        assert search_order(g) == bfs_search_order(g)
+        t = rng.randrange(1, 4)
+        order = [v for v, _ in search_order(g, t)]
+        assert order == most_constrained_order(g, t), (sorted(g.edges), t)
         disconnected += len(comps) > 1
         isolated += 0 in g.degrees
     assert disconnected >= 100 and isolated >= 100

@@ -18,6 +18,7 @@ from tonelab.graphs import (
     build_gnp,
     build_path,
     build_star,
+    cartesian_power,
     connected_components,
     is_connected,
 )
@@ -42,11 +43,24 @@ def test_budget_requires_a_cap():
 
 
 def test_search_order_prefers_high_degree():
-    order = search_order(build_star(4))
-    assert order[0] == 0  # the head carries the binding constraints
+    """A max-degree vertex of lowest index comes first, and each connected
+    component fills a contiguous run of positions."""
+    assert next(search_order(build_star(4), 2))[0] == 0  # the head
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    order = search_order(g)
-    assert set(order[:2]) == {0, 1}  # both degree-3 vertices come first
+    assert next(search_order(g, 1))[0] == 0  # two degree-3 vertices, 0 first
+    rng = random.Random(1979)
+    split = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(2, 30), rng.choice([0.05, 0.1, 0.2]))
+        order = [v for v, _ in search_order(g, rng.randrange(1, 4))]
+        assert order[0] == min(range(g.n), key=lambda v: (-g.degrees[v], v))
+        comps = connected_components(g)
+        component_of = {v: c for c, comp in enumerate(comps) for v in comp}
+        runs = [component_of[v] for i, v in enumerate(order)
+                if i == 0 or component_of[order[i - 1]] != component_of[v]]
+        assert sorted(runs) == list(range(len(comps))), sorted(g.edges)
+        split += len(comps) > 1
+    assert split >= 150
 
 
 def test_feasible_star_small_cases():
@@ -508,22 +522,19 @@ def test_exact_node_counts_are_pinned():
     g = build_gnp(60, 0.05, 1)
     res = feasible(g, 2, 7)
     assert res.status == FEASIBLE
-    assert res.stats.nodes == 4_529
+    assert res.stats.nodes == 252
     assert verify(g, res.witness).valid
     out = tau_exact(g, 2, SearchBudget(max_nodes=100_000))
-    assert out.status == TIMEOUT
-    assert out.best_lower == 6
-    assert out.stats.nodes == 100_001  # the cap, plus the node that broke it
+    assert (out.status, out.value) == (EXACT, 7)  # k = 6 refuted, 7 found
+    assert out.stats.nodes == 55_500
 
 
 def test_wall_clock_budget_bounds_elapsed_time():
-    # K_{1,4} beside S_3+2: the second search position is the first vertex
-    # of the other component, so it has 32 candidate sets, each the root of
-    # a refutation far longer than the budget
-    g = Graph(11, [(0, 1), (0, 2), (0, 3), (0, 4),
-                   (5, 6), (5, 7), (5, 8), (6, 9), (6, 10)])
+    # Q_4 with 11 colors at t = 3: open at two million nodes, far more
+    # than the budget allows
+    q4 = cartesian_power(Graph(2, [(0, 1)]), 4)
     budget_ms = 300.0
-    res = feasible(g, 5, 17, SearchBudget(max_nodes=None, max_millis=budget_ms))
+    res = feasible(q4, 3, 11, SearchBudget(max_nodes=None, max_millis=budget_ms))
     assert res.status == TIMEOUT
     assert res.stats.budget_exhausted
     assert res.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
@@ -561,6 +572,44 @@ def test_tau_exact_prepares_once(monkeypatch):
     assert (out.value, out.best_lower) == (10, 10)
     assert starting_lower_bound(build_star(5), 3) == 9  # two palette sizes
     assert calls == [3]
+
+
+def test_prepare_computes_each_distance_ball_once(monkeypatch):
+    from tonelab import solver
+
+    calls = []
+    ball = solver.distance_ball
+
+    def spy(graph, src, cap):
+        calls.append((src, cap))
+        return ball(graph, src, cap)
+
+    monkeypatch.setattr(solver, "distance_ball", spy)
+    g = build_gnp(60, 0.05, 1)
+    for t in (1, 2, 3):
+        calls.clear()
+        solver._prepare(g, t)
+        assert sorted(calls) == [(v, t) for v in range(g.n)]
+
+
+def test_tau_exact_matches_brute_force_on_disconnected_graphs():
+    """Each component fills its own run of search positions, where the
+    most-constrained order departs most from a plain degree sort; the
+    brute-force oracle, which has no order of its own, agrees."""
+    rng = random.Random(1718)
+    budget = SearchBudget(max_nodes=100_000)
+    checked = 0
+    while checked < 60:
+        g = random_graph(rng, rng.randrange(2, 8), rng.uniform(0.1, 0.6))
+        if len(connected_components(g)) < 2:
+            continue
+        # the oracle takes vertices in index order, so an early isolated
+        # vertex multiplies its refutations; at n = 7 and t = 2 one takes
+        # minutes
+        t = 2 if checked % 2 and g.n <= 6 else 1
+        assert tau_exact(g, t, budget).value == brute_force_tau(g, t, t * g.n), (
+            sorted(g.edges), t)
+        checked += 1
 
 
 def test_feasible_on_the_empty_graph():
