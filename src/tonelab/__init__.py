@@ -14,8 +14,6 @@ from .bounds import (
     multipartite_lower,
     pairsum_bound,
     path_formula,
-    star_formula,
-    tree2tone_formula,
 )
 from .coloring import (
     ToneColoring,

@@ -1,10 +1,14 @@
 """Closed-form bounds and exact formulas for the t-tone chromatic number.
 
-All square roots and ceilings are evaluated with integer arithmetic
-(math.isqrt): an off-by-one at a perfect square such as sqrt(121) would
-silently corrupt whole tables. The one floating-point value is
-multipartite_lower's real_value, a sum of math.sqrt terms that is only
-reported as a row; it decides nothing.
+Each counting argument has one kernel. The pair count,
+min_palette_for_pairs, backs the degree bound and the per-part
+multipartite bound. The pair sum, pairsum_bound and its max over
+components component_pairsum, is the one source of a BoundReport.
+
+Ceilings are found in integer arithmetic (math.isqrt): an off-by-one at
+a perfect square would silently corrupt whole tables. The one
+floating-point value is multipartite_lower's real_value, a sum of
+math.sqrt terms that is only reported as a row; it decides nothing.
 """
 
 from __future__ import annotations
@@ -18,40 +22,43 @@ from .graphs import Graph, connected_components, distance_ball
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One formula's verdict: a value with its kind, or None and why the
-    formula does not apply."""
+    """A pair-sum verdict: the value, exact or only a lower bound, and a
+    note on the equality hypothesis."""
 
-    value: Optional[int]
-    kind: str  # "lower" | "exact" | "upper"
+    value: int
+    kind: str  # "lower" | "exact"
     reason: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("lower", "exact", "upper"):
+        if self.kind not in ("lower", "exact"):
             raise ValueError(f"bad bound kind {self.kind!r}")
-        if self.value is None and not self.reason:
-            raise ValueError("inapplicable bound needs a reason")
 
 
-def ceil_half_sum_sqrt(a: int, radicand: int) -> int:
-    """ceil((a + sqrt(radicand)) / 2) in exact integer arithmetic."""
-    if radicand < 0:
-        raise ValueError("negative radicand")
-    s = math.isqrt(radicand)
-    if s * s == radicand:
-        return (a + s + 1) // 2
-    # s < sqrt(radicand) < s+1, so the ceiling is floor((a+s)/2) + 1.
-    return (a + s) // 2 + 1
+def min_palette_for_pairs(t: int, a: int) -> int:
+    """Smallest c >= t with C(c,2) >= C(t,2)*a, in integer arithmetic.
+
+    The pair count: a vertices whose t-sets pairwise share at most one
+    colour each hold C(t,2) colour pairs no other one holds. That is the
+    neighbours of a degree-a vertex, and one part of a complete
+    multipartite graph, whose vertices are pairwise at distance 2.
+    """
+    need = math.comb(t, 2) * a
+    # c*(c-1) >= 2*need; the integer sqrt is at most two steps short.
+    c = max(t, math.isqrt(2 * need))
+    while math.comb(c, 2) < need:
+        c += 1
+    return c
 
 
 def degree_lower_bound(delta: int, t: int) -> int:
     """Lower bound from a max-degree vertex: its t colors are banned on all
-    neighbors and no two neighbors may share two colors, so delta*C(t,2)
-    distinct color pairs must fit into C(k-t, 2)."""
+    delta neighbors, which by the pair count need min_palette_for_pairs
+    further colors. On a tree at t = 2 it is exact."""
     if t < 2:
         raise ValueError("degree lower bound requires t >= 2")
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    return ceil_half_sum_sqrt(2 * t + 1, 1 + 4 * t * (t - 1) * delta)
+    return t + min_palette_for_pairs(t, delta)
 
 
 def degree_bound(delta: int, t: int) -> Optional[int]:
@@ -63,13 +70,6 @@ def degree_bound(delta: int, t: int) -> Optional[int]:
     if t >= 2 and delta >= 1:
         return degree_lower_bound(delta, t)
     return None
-
-
-def tree2tone_formula(delta: int) -> int:
-    """Exact 2-tone chromatic number of any tree with max degree delta."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    return ceil_half_sum_sqrt(5, 8 * delta + 1)
 
 
 def path_formula(n: int, t: int) -> int:
@@ -173,34 +173,9 @@ def component_pairsum(
     return BoundReport(win.value, kind, note)
 
 
-def star_formula(k: int, t: int) -> BoundReport:
-    """(k+1)t - C(k,2), exact for stars once t >= k."""
-    if k < 1 or t < 1:
-        raise ValueError("need k >= 1 and t >= 1")
-    if t < k:
-        return BoundReport(
-            None, "exact", f"needs t >= k (got t={t}, k={k}); use the exact solver"
-        )
-    return BoundReport((k + 1) * t - math.comb(k, 2), "exact")
-
-
 class MultipartiteLower(NamedTuple):
     real_value: float
     integer_value: int
-
-
-def min_palette_for_pairs(t: int, a: int) -> int:
-    """Smallest c with C(c,2) >= C(t,2)*a, solved exactly.
-
-    Within one part all pairs are at distance 2, so no color pair may
-    repeat: a vertices each burn C(t,2) distinct pairs.
-    """
-    need = math.comb(t, 2) * a
-    # c*(c-1) >= 2*need; start from the integer sqrt and walk up.
-    c = max(t, math.isqrt(2 * need))
-    while math.comb(c, 2) < need:
-        c += 1
-    return c
 
 
 def multipartite_lower(parts: Sequence[int], t: int) -> MultipartiteLower:

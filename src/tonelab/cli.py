@@ -52,8 +52,22 @@ def _parse_parts(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+# name -> (argument count, builder taking the argument tokens)
+FAMILIES = {
+    "path": (1, lambda n: build_path(int(n))),
+    "star": (1, lambda k: build_star(int(k))),
+    "complete": (1, lambda n: build_complete(int(n))),
+    "multipartite": (1, lambda parts: build_complete_multipartite(_parse_parts(parts))),
+    "tree": (2, lambda delta, depth: build_truncated_regular_tree(int(delta), int(depth))),
+    "knn": (1, lambda n: cartesian_power(build_complete(int(n)), 2)),
+    "hypercube": (1, lambda b: cartesian_power(build_complete(2), int(b))),
+    "gnp": (3, lambda n, p, seed: build_gnp(int(n), float(p), int(seed))),
+}
+
+
 def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
-    """Build a named graph family from CLI tokens.
+    """Build a named graph family from CLI tokens: the name, then exactly
+    its arguments.
 
     Supported: path N; star K; complete N; multipartite A,B,...;
     tree DELTA DEPTH; knn N (the squared clique); hypercube B; gnp N P SEED.
@@ -61,33 +75,15 @@ def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
     if not tokens:
         raise ValueError("--family needs a name")
     name, args = tokens[0], tokens[1:]
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    arity, build = FAMILIES[name]
     try:
-        if name == "path":
-            return build_path(int(args[0])), f"path {args[0]}"
-        if name == "star":
-            return build_star(int(args[0])), f"star {args[0]}"
-        if name == "complete":
-            return build_complete(int(args[0])), f"complete {args[0]}"
-        if name == "multipartite":
-            parts = _parse_parts(args[0])
-            return build_complete_multipartite(parts), f"multipartite {args[0]}"
-        if name == "tree":
-            return (
-                build_truncated_regular_tree(int(args[0]), int(args[1])),
-                f"tree {args[0]} {args[1]}",
-            )
-        if name == "knn":
-            n = int(args[0])
-            return cartesian_power(build_complete(n), 2), f"knn {args[0]}"
-        if name == "hypercube":
-            b = int(args[0])
-            return cartesian_power(build_complete(2), b), f"hypercube {args[0]}"
-        if name == "gnp":
-            n, p, seed = int(args[0]), float(args[1]), int(args[2])
-            return build_gnp(n, p, seed), f"gnp {args[0]} {args[1]} {args[2]}"
-    except (IndexError, ValueError) as exc:
+        if len(args) != arity:
+            raise ValueError(f"takes {arity} argument(s), got {len(args)}")
+        return build(*args), " ".join(tokens)
+    except ValueError as exc:
         raise ValueError(f"bad --family arguments for {name!r}: {exc}") from exc
-    raise ValueError(f"unknown family {name!r}")
 
 
 def _input_graph(args) -> tuple[Graph, str]:
@@ -177,9 +173,11 @@ def cmd_solve(args) -> int:
 def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dict]:
     """One row per formula: source, kind, value, applicability note.
 
-    The pairsum row is bounds.component_pairsum's report as it stands. The
-    path, tree and star rows need a connected graph with n - 1 edges, the
-    multipartite rows t >= 2 and at least two parts.
+    The pairsum row is bounds.component_pairsum's report as it stands; on
+    a star S_k it is exact iff t >= k. The path and tree rows need a
+    connected graph with n - 1 edges; the tree row is the degree bound,
+    exact on trees at t = 2. The multipartite rows need t >= 2 and at
+    least two parts.
     """
     delta = graph.max_degree
     degree = bounds.degree_bound(delta, t)
@@ -206,22 +204,7 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
         )
     if t == 2 and tree and delta >= 1:
         rows.append(
-            {
-                "source": "tree_2tone",
-                "kind": "exact",
-                "value": bounds.tree2tone_formula(delta),
-                "note": "tree formula",
-            }
-        )
-    if tree and delta == graph.n - 1 >= 1:
-        rep = bounds.star_formula(delta, t)
-        rows.append(
-            {
-                "source": "star_formula",
-                "kind": rep.kind,
-                "value": rep.value,
-                "note": rep.reason or "exact for stars",
-            }
+            {"source": "tree_2tone", "kind": "exact", "value": degree, "note": "tree formula"}
         )
     if parts is not None and len(parts) >= 2 and t >= 2:
         low = bounds.multipartite_lower(parts, t)

@@ -12,10 +12,10 @@ enumerator for small connected graphs. Nothing here imports
 
 Some references keep earlier implementations of package code instead,
 for tests that require the current code to agree with them exactly:
-`gnp_by_rows`, the row-by-row G(n, p) sampler; `is_tree`, `is_path` and
-`star_leaves`, the shape tests the CLI's bound table used before it read
-the shape from its component list (here on the queue-driven components);
-and `counted_candidate_sets`, the candidate generator that counts each
+`gnp_by_rows`, the row-by-row G(n, p) sampler; `is_tree` and `is_path`,
+the shape tests the CLI's bound table used before it read the shape from
+its component list (here on the queue-driven components); and
+`counted_candidate_sets`, the candidate generator that counts each
 constraint's remaining allowance down on a pick and back up on
 backtrack. The latter counts on a solver `_Meter` that its caller passes
 in, so node counts and budget stops can be compared node for node.
@@ -108,13 +108,6 @@ def is_path(graph: Graph) -> bool:
     return is_tree(graph) and max(graph.degrees) <= 2
 
 
-def star_leaves(graph: Graph) -> Optional[int]:
-    """The leaf count of a star on at least two vertices, else None."""
-    if graph.n >= 2 and is_tree(graph) and max(graph.degrees) == graph.n - 1:
-        return graph.n - 1
-    return None
-
-
 def sorted_intersection_size(a, b) -> int:
     """Two-pointer scan over ascending lists."""
     i = j = out = 0
@@ -182,14 +175,18 @@ def chromatic_number_reference(graph: Graph) -> int:
 def brute_force_tau(graph: Graph, t: int, k_max: int) -> Optional[int]:
     """Independent oracle: smallest feasible k <= k_max by plain enumeration.
 
-    Vertices are taken in natural index order, candidate sets come from
-    itertools.combinations, and the only pruning is rejecting a partial
-    assignment as soon as one pair violates its distance constraint. No
-    ordering heuristics, no symmetry breaking, no shared solver machinery.
+    Vertices are taken by descending degree, ties by index, so an
+    isolated vertex comes last instead of multiplying every refutation.
+    Candidate sets come from itertools.combinations, and the only pruning
+    is rejecting a partial assignment as soon as one pair violates its
+    distance constraint. No symmetry breaking, no shared solver machinery.
     Intended for tiny instances.
     """
     if t < 1 or graph.n == 0:
         raise ValueError("need t >= 1 and a nonempty graph")
+    rank = sorted(range(graph.n), key=lambda v: (-graph.degrees[v], v))
+    position = {v: i for i, v in enumerate(rank)}
+    graph = Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges])
     dist = _plain_distances(graph, cap=t)
     for k in range(t, k_max + 1):
         if _bf_extend(graph, t, k, dist, {}, 0):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tonelab.bounds import (
-    ceil_half_sum_sqrt,
     degree_bound,
     degree_lower_bound,
     distance_deficiency,
@@ -13,10 +12,16 @@ from tonelab.bounds import (
     multipartite_lower,
     pairsum_bound,
     path_formula,
-    star_formula,
-    tree2tone_formula,
 )
 from tonelab.graphs import Graph, build_complete, build_path, build_star
+
+
+def closed_form(a: int, radicand: int) -> int:
+    """ceil((a + sqrt(radicand)) / 2) by integer sqrt. The degree bound at
+    (delta, t) is closed_form(2t + 1, 1 + 4t(t-1)delta), and the 2-tone tree
+    formula closed_form(5, 8delta + 1)."""
+    s = math.isqrt(radicand)
+    return (a + s + 1) // 2 if s * s == radicand else (a + s) // 2 + 1
 
 
 def ceil_oracle(a: int, radicand: int) -> int:
@@ -50,15 +55,15 @@ def test_degree_lower_bound_beats_sqrt(delta, t):
 
 
 def test_tree2tone_values():
-    assert tree2tone_formula(3) == 5
-    assert tree2tone_formula(1) == 4
+    assert degree_lower_bound(3, 2) == 5
+    assert degree_lower_bound(1, 2) == 4
     with pytest.raises(ValueError):
-        tree2tone_formula(0)
+        degree_lower_bound(0, 2)
 
 
 def test_tree2tone_equals_degree_bound_up_to_1e6():
     for delta in range(1, 10**6 + 1):
-        if tree2tone_formula(delta) != degree_lower_bound(delta, 2):
+        if closed_form(5, 8 * delta + 1) != degree_lower_bound(delta, 2):
             raise AssertionError(delta)
 
 
@@ -67,19 +72,14 @@ def test_ceiling_never_uses_floating_point():
     for _ in range(10**6):
         delta = rng.randrange(1, 10**7)
         t = rng.randrange(2, 40)
-        a = 2 * t + 1
-        radicand = 1 + 4 * t * (t - 1) * delta
-        got = ceil_half_sum_sqrt(a, radicand)
-        s = math.isqrt(radicand)
-        # independent recomputation: bracket the true ceiling by integer sqrt
-        low = (a + s + 1) // 2 if s * s == radicand else (a + s) // 2 + 1
-        assert got == low
+        got = degree_lower_bound(delta, t)
+        assert got == closed_form(2 * t + 1, 1 + 4 * t * (t - 1) * delta), (delta, t)
     # exhaustive agreement with the search oracle near perfect squares
     for t in range(2, 8):
         for delta in range(1, 400):
             a = 2 * t + 1
             radicand = 1 + 4 * t * (t - 1) * delta
-            assert ceil_half_sum_sqrt(a, radicand) == ceil_oracle(a, radicand)
+            assert degree_lower_bound(delta, t) == ceil_oracle(a, radicand)
 
 
 def test_path_formula_values():
@@ -114,21 +114,21 @@ def test_distance_deficiency():
     assert total == 4 and diameter == 3
 
 
+def star_reference(k: int, t: int) -> tuple[int, str]:
+    """(k+1)t - C(k,2), exact for stars once t >= k."""
+    return (k + 1) * t - math.comb(k, 2), "exact" if t >= k else "lower"
+
+
 def test_star_formula():
-    assert star_formula(3, 5).value == 17
-    assert star_formula(3, 4).value == 13
-    rep = star_formula(5, 3)
-    assert rep.value is None and rep.reason
+    for k, t, value in [(3, 5, 17), (3, 4, 13), (5, 3, 8)]:
+        rep = pairsum_bound(build_star(k), t)
+        assert (rep.value, rep.kind) == star_reference(k, t) and rep.value == value
 
 
 @given(st.integers(1, 50), st.integers(1, 200))
 def test_star_formula_matches_pairsum(k, t):
-    if t < k:
-        return
-    rep = star_formula(k, t)
-    pair = pairsum_bound(build_star(k), t)
-    assert rep.value == pair.value == (k + 1) * t - math.comb(k, 2)
-    assert pair.kind == "exact"
+    rep = pairsum_bound(build_star(k), t)
+    assert (rep.value, rep.kind) == star_reference(k, t)
 
 
 def test_multipartite_lower():

@@ -6,7 +6,7 @@ import sys
 from itertools import product
 
 import pytest
-from oracles import bfs_components, is_path, is_tree, random_graph, random_tree, star_leaves
+from oracles import bfs_components, is_path, is_tree, random_graph, random_tree
 
 from tonelab import bounds, cli, constructions, solver
 from tonelab.coloring import load_coloring, save_coloring, ToneColoring, verify
@@ -149,7 +149,7 @@ def test_bound_family_star(capsys):
     out = capsys.readouterr().out
     assert "degree" in out and "9" in out
     assert "pairsum" in out and "8" in out
-    assert "star_formula" in out and "n/a" in out
+    assert "star_formula" not in out  # the pairsum row says the same
 
 
 def test_bound_family_path(capsys):
@@ -163,7 +163,68 @@ def test_bound_graph_file(tmp_path, capsys):
     save_graph(build_star(3), gpath)
     assert run_main("bound", str(gpath), "--t", "2") == 0
     out = capsys.readouterr().out
-    assert "tree_2tone" in out and "star_formula" in out
+    assert "tree_2tone" in out and "star_formula" not in out
+
+
+# bound --json lines: every row keeps the bytes it had when stars also got
+# a star_formula row, which repeated the pairsum row
+BOUND_JSON = {
+    ('path 6', 4): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 2", "source": "degree", '
+        '"value": 10}, {"kind": "lower", "note": "equality needs t >= 20", '
+        '"source": "pairsum", "value": 4}, {"kind": "exact", "note": "path on 6 vertices", '
+        '"source": "path_formula", "value": 12}], "instance": "path 6", "t": 4}\n'
+    ),
+    ('star 1', 2): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 1", "source": "degree", '
+        '"value": 4}, {"kind": "exact", "note": "equality hypothesis holds", '
+        '"source": "pairsum", "value": 4}, {"kind": "exact", "note": "path on 2 vertices", '
+        '"source": "path_formula", "value": 4}, {"kind": "exact", "note": "tree formula", '
+        '"source": "tree_2tone", "value": 4}], "instance": "star 1", "t": 2}\n'
+    ),
+    ('star 3', 5): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 3", "source": "degree", '
+        '"value": 14}, {"kind": "exact", "note": "equality hypothesis holds", '
+        '"source": "pairsum", "value": 17}], "instance": "star 3", "t": 5}\n'
+    ),
+    ('star 5', 3): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 5", "source": "degree", '
+        '"value": 9}, {"kind": "lower", "note": "equality needs t >= 5", '
+        '"source": "pairsum", "value": 8}], "instance": "star 5", "t": 3}\n'
+    ),
+    ('tree 3 2', 2): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 3", "source": "degree", '
+        '"value": 5}, {"kind": "lower", "note": "equality needs t >= 27", '
+        '"source": "pairsum", "value": -52}, {"kind": "exact", "note": "tree formula", '
+        '"source": "tree_2tone", "value": 5}], "instance": "tree 3 2", "t": 2}\n'
+    ),
+    ('multipartite 2,3,4', 3): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 7", "source": "degree", '
+        '"value": 10}, {"kind": "lower", "note": "equality needs t >= 8", '
+        '"source": "pairsum", "value": 17}, {"kind": "lower", '
+        '"note": "sum of per-part square roots", "source": "multipartite_real", '
+        '"value": 12.605722}, {"kind": "lower", "note": "per-part pair counting, '
+        'solved exactly", "source": "multipartite_integer", "value": 15}], '
+        '"instance": "multipartite 2,3,4", "t": 3}\n'
+    ),
+    ('gnp 40 0.05 3', 2): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 6", "source": "degree", '
+        '"value": 6}, {"kind": "lower", '
+        '"note": "equality fails on another component; max over 8 components", '
+        '"source": "pairsum", "value": 4}], "instance": "gnp 40 0.05 3", "t": 2}\n'
+    ),
+    ('hypercube 3', 3): (
+        '{"bounds": [{"kind": "lower", "note": "max degree 3", "source": "degree", '
+        '"value": 8}, {"kind": "lower", "note": "equality needs t >= 14", '
+        '"source": "pairsum", "value": 4}], "instance": "hypercube 3", "t": 3}\n'
+    ),
+}
+
+
+def test_bound_json_bytes_are_pinned(capsys):
+    for (family, t), expected in BOUND_JSON.items():
+        assert run_main("bound", "--family", *family.split(), "--t", str(t), "--json") == 0
+        assert capsys.readouterr().out == expected, (family, t)
 
 
 def test_bound_pairsum_exact_only_when_every_component_is(tmp_path, capsys):
@@ -257,10 +318,7 @@ def test_bound_rows_match_the_reference_shape_tests():
                 assert rows["path_formula"]["value"] == bounds.path_formula(graph.n, t)
             if t == 2 and is_tree(graph) and delta >= 1:
                 expected.add("tree_2tone")
-            k = star_leaves(graph)
-            if k is not None:
-                expected.add("star_formula")
-                assert rows["star_formula"]["value"] == bounds.star_formula(k, t).value
+                assert rows["tree_2tone"]["value"] == old
             assert set(rows) == expected, (graph.n, graph.edges, t)
     assert disconnected >= 40
     assert {"equality fails on another component", "equality needs t >= 3"} <= notes
@@ -668,11 +726,18 @@ def test_malformed_input_exits_2(tmp_path):
         ["solve", "--family", "path", "3", "--t", "2", "--budget-nodes", "-1"],
         ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "-5"],
         ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "nan"],
+        ["solve", "--family", "path", "6", "7", "--t", "2"],
+        ["bound", "--family", "star", "3", "junk", "--t", "2"],
+        ["bound", "--family", "tree", "3", "--t", "2"],
+        ["bound", "--family", "gnp", "10", "0.5", "--t", "2"],
+        ["bound", "--family", "path", "--t", "2"],
     ):
         proc = run_proc(*argv)
         assert proc.returncode == 2, (argv, proc.stdout, proc.stderr[-500:])
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert proc.stdout == ""
+    with pytest.raises(ValueError, match="^bad --family arguments for 'path': takes 1 "):
+        cli.resolve_family(["path", "6", "7"])
 
 
 def test_unwritable_output_paths_exit_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import floyd_warshall, most_constrained_order, random_graph, random_tree
-from tonelab.bounds import degree_lower_bound, distance_deficiency, tree2tone_formula
+from tonelab.bounds import degree_lower_bound, distance_deficiency
 from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import (
     SCHEMES,
@@ -151,7 +151,7 @@ def test_star_coloring_values():
     assert colors_used(star_coloring(2, 3)) == 8
     big = star_coloring(12, 2)  # heuristic path for large stars
     assert verify(build_star(12), big).valid
-    assert colors_used(big) >= tree2tone_formula(12)
+    assert colors_used(big) >= degree_lower_bound(12, 2)
 
 
 def test_multipartite_coloring():
@@ -181,7 +181,7 @@ def test_greedy_heuristic_on_random_trees():
     for _ in range(100):
         n = rng.randrange(2, 201)
         tree = random_tree(rng, n, max_degree=8)
-        cap = tree2tone_formula(tree.max_degree) + 3
+        cap = degree_lower_bound(tree.max_degree, 2) + 3
         col = _greedy(tree, _prepare(tree, 2), 2, cap)
         assert col is not None
         assert verify(tree, col).valid

@@ -1,13 +1,16 @@
-"""Import hygiene: every name a tonelab module imports is referenced in
-that module, and the test oracles take nothing from the solver."""
+"""Import hygiene: every name a tonelab module or test file imports is
+referenced in that file, and the test oracles take nothing from the
+solver."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tonelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tonelab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -69,5 +72,5 @@ def test_solver_names_are_reported():
 def test_oracles_import_nothing_from_the_solver():
     """The brute-force oracle judges the solver's pruning, so it shares no
     code with it."""
-    oracles = Path(__file__).resolve().parent / "oracles.py"
+    oracles = TESTS / "oracles.py"
     assert solver_names(oracles.read_text()) == []
