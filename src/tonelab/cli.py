@@ -2,10 +2,10 @@
 experiment, and MOLS tooling.
 
 Exit codes: 0 success/valid, 1 invalid coloring or failed reproduction,
-2 parse/usage error or a path that cannot be read or written, 3 budget
-exhausted. In --json mode the output is byte-identical across runs for
-identical inputs, seeds, and budgets, so wall-clock times are reported in
-human mode only.
+2 parse/usage error or a path that cannot be read or written, 3 the
+bracket did not close. In --json mode the output is byte-identical across
+runs for identical inputs, seeds, and budgets, so wall-clock times are
+reported in human mode only.
 """
 
 from __future__ import annotations
@@ -173,26 +173,28 @@ def cmd_solve(args) -> int:
 def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dict]:
     """One row per formula: source, kind, value, applicability note.
 
-    The pairsum row is bounds.component_pairsum's report as it stands; on
-    a star S_k it is exact iff t >= k. The path and tree rows need a
-    connected graph with n - 1 edges; the tree row is the degree bound,
-    exact on trees at t = 2. The multipartite rows need t >= 2 and at
-    least two parts.
+    The degree row is exact on trees at t = 2. The pairsum row is
+    bounds.component_pairsum's report as it stands, with a note when its
+    value is below the trivial bound t; on a star S_k it is exact iff
+    t >= k. The path row needs a path. The multipartite rows need t >= 2
+    and at least two parts.
     """
     delta = graph.max_degree
     degree = bounds.degree_bound(delta, t)
-    note = "needs t >= 2 and an edge" if degree is None else f"max degree {delta}"
-    rows = [{"source": "degree", "kind": "lower", "value": degree, "note": note}]
-    pairsum = bounds.component_pairsum(graph, t)
-    rows.append(
-        {
-            "source": "pairsum",
-            "kind": pairsum.kind,
-            "value": pairsum.value,
-            "note": pairsum.reason,
-        }
-    )
     tree = graph.m == graph.n - 1 and is_connected(graph)
+    kind, note = "lower", f"max degree {delta}"
+    if degree is None:
+        note = "needs t >= 2 and an edge"
+    elif t == 2 and tree:
+        kind, note = "exact", note + "; exact on trees at t = 2"
+    rows = [{"source": "degree", "kind": kind, "value": degree, "note": note}]
+    pairsum = bounds.component_pairsum(graph, t)
+    note = pairsum.reason
+    if pairsum.value < t:
+        note += f"; below the trivial bound t = {t}"
+    rows.append(
+        {"source": "pairsum", "kind": pairsum.kind, "value": pairsum.value, "note": note}
+    )
     if tree and delta <= 2:
         rows.append(
             {
@@ -201,10 +203,6 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
                 "value": bounds.path_formula(graph.n, t),
                 "note": f"path on {graph.n} vertices",
             }
-        )
-    if t == 2 and tree and delta >= 1:
-        rows.append(
-            {"source": "tree_2tone", "kind": "exact", "value": degree, "note": "tree formula"}
         )
     if parts is not None and len(parts) >= 2 and t >= 2:
         low = bounds.multipartite_lower(parts, t)
@@ -428,7 +426,7 @@ def _experiment_row(n: int, c: float, seed: int, t: int) -> dict:
     graph = build_gnp(n, c / n, seed)
     delta = graph.max_degree
     degree = bounds.degree_bound(delta, t)
-    heuristic_colors = colors_used(constructions.greedy_heuristic_climb(graph, t))
+    heuristic_colors = colors_used(solver.greedy_heuristic_climb(graph, t))
     decomp_colors = None
     if t == 2:
         decomp, _ = constructions.two_tone_via_decomposition(graph)

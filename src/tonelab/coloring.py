@@ -109,6 +109,15 @@ def verify(graph: Graph, coloring: ToneColoring) -> VerificationReport:
     )
 
 
+def checked(graph: Graph, coloring: ToneColoring) -> ToneColoring:
+    """The coloring, once verify passes it; AssertionError on its first violation."""
+    report = verify(graph, coloring)
+    if not report.valid:
+        first = report.violations[0]
+        raise AssertionError(f"invalid coloring produced; first violation {first}")
+    return coloring
+
+
 def format_coloring(coloring: ToneColoring) -> str:
     """Coloring text format: `t palette_size` then `v: c1 c2 ... ct` rows."""
     lines = [f"{coloring.t} {coloring.palette_size}"]

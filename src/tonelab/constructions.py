@@ -2,8 +2,9 @@
 
 Includes the color-reuse construction that is exact for large t, the
 2-tone decomposition through a proper coloring, Latin-square colorings of
-squared cliques, star and multipartite compositions, a generic greedy
-heuristic, and four recursive schemes for truncated regular trees.
+squared cliques, star and multipartite compositions, and four recursive
+schemes for truncated regular trees. The generic greedy heuristic lives
+in solver, since it reads the exact search's order and constraint lists.
 
 Every construction verifies its own output before returning it.
 """
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .coloring import ToneColoring, verify
+from .coloring import ToneColoring, checked
 from .graphs import (
     Graph,
     build_complete,
@@ -29,19 +30,7 @@ from .graphs import (
     distance_ball,
 )
 from .mols import MolsFamily
-from .solver import (
-    SearchBudget, _candidate_sets, _Meter, _prepare, _witness_from, tau_exact
-)
-
-
-def _checked(graph: Graph, coloring: ToneColoring) -> ToneColoring:
-    report = verify(graph, coloring)
-    if not report.valid:
-        raise AssertionError(
-            f"construction produced an invalid coloring; first violation "
-            f"{report.violations[0]}"
-        )
-    return coloring
+from .solver import SearchBudget, tau_exact
 
 
 def greedy_large_t_coloring(graph: Graph, t: int) -> ToneColoring:
@@ -74,7 +63,7 @@ def greedy_large_t_coloring(graph: Graph, t: int) -> ToneColoring:
         next_fresh += len(fresh)
         unique_of.append(fresh)
         rows.append(sorted(reused + fresh))
-    return _checked(graph, ToneColoring(t, next_fresh, rows))
+    return checked(graph, ToneColoring(t, next_fresh, rows))
 
 
 def greedy_proper_coloring(graph: Graph) -> list[int]:
@@ -153,7 +142,7 @@ def two_tone_via_decomposition(
             rows[v] = [base + a, base + b]
         pair_classes.append(m_i)
         base += size
-    coloring = _checked(graph, ToneColoring(2, base, rows))
+    coloring = checked(graph, ToneColoring(2, base, rows))
     cert = DecompositionCertificate(khat, tuple(pair_classes))
     return coloring, cert
 
@@ -176,25 +165,23 @@ def mols_coloring_knn(family: MolsFamily, t: int) -> ToneColoring:
     # row a*n + b is vertex (a, b); each row ascends, since L_i < n
     rows = (family.cells[:t] + n * np.arange(t)[:, None, None]).reshape(t, n * n).T
     graph = cartesian_power(build_complete(n), 2)
-    return _checked(graph, ToneColoring(t, t * n, rows.tolist()))
+    return checked(graph, ToneColoring(t, t * n, rows.tolist()))
 
 
 def star_coloring(k: int, t: int) -> ToneColoring:
     """Best available coloring of the k-leaf star.
 
-    For t >= k the reuse construction is optimal; below that the exact
-    solver decides small stars and the greedy heuristic covers the rest.
+    For t >= k the reuse construction is optimal. Below that the exact
+    solver decides stars of up to 8 leaves and gets a budget of 0 nodes
+    on larger ones; wherever its budget runs out, its witness is the
+    greedy heuristic's.
     """
     if k < 1 or t < 1:
         raise ValueError("need k >= 1 and t >= 1")
     star = build_star(k)
     if t >= k:
         return greedy_large_t_coloring(star, t)
-    if k <= 8:
-        outcome = tau_exact(star, t, SearchBudget(max_nodes=20_000_000))
-        if outcome.status == "exact":
-            return outcome.witness  # feasible verified it against star
-    return greedy_heuristic_climb(star, t)
+    return tau_exact(star, t, SearchBudget(max_nodes=20_000_000 if k <= 8 else 0)).witness
 
 
 def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
@@ -215,38 +202,7 @@ def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
         remap = {c: base + i for i, c in enumerate(used)}
         rows.extend(sorted(remap[c] for c in row) for row in leaf_rows)
         base += len(used)
-    return _checked(graph, ToneColoring(t, base, rows))
-
-
-def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
-    """The greedy heuristic at the smallest palette cap it succeeds with.
-
-    Caps are tried upward from the degree lower bound (from t where that
-    bound does not apply); no smaller cap can succeed, since its coloring
-    would beat a lower bound. The search order and the constraint lists
-    are prepared once and shared by every cap tried.
-    """
-    prep = _prepare(graph, t)
-    cap = bounds.degree_bound(graph.max_degree, t) or t
-    while True:
-        coloring = _greedy(graph, prep, t, cap)
-        if coloring is not None:
-            return coloring
-        cap += 1
-
-
-def _greedy(graph: Graph, prep, t: int, cap: int) -> Optional[ToneColoring]:
-    order, partners = prep.order, prep.partners
-    assign = [0] * graph.n
-    meter = _Meter()  # no budget: the greedy pass only counts its nodes
-    for i, plist in enumerate(partners):
-        constraints = [(assign[j], limit) for j, limit in plist]
-        # used=cap disables the introduce-in-order rule: plain lex search.
-        mask = next(_candidate_sets(cap, t, cap, constraints, meter), None)
-        if mask is None:
-            return None
-        assign[i] = mask
-    return _checked(graph, _witness_from(order, assign, t, cap))
+    return checked(graph, ToneColoring(t, base, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -445,4 +401,4 @@ def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
         if len(adj[v]) > 1:  # leaves have no children to color
             for child, colors in zip(adj[v][1:], spec.rule(sets, adj, v, spec.palette)):
                 sets[child] = frozenset(colors)
-    return _checked(graph, ToneColoring(spec.t, spec.palette, sets))
+    return checked(graph, ToneColoring(spec.t, spec.palette, sets))

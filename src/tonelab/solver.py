@@ -63,6 +63,8 @@ more.
 
 tau_exact runs the decision search for each palette size from the lower
 bound up on one prepared search, under one node cap and one deadline.
+When the budget stops it first, the greedy heuristic (_greedy) colors
+the graph on the same prepared search and gives the bracket's upper end.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterator, NamedTuple, Optional
 
 from . import bounds
-from .coloring import ToneColoring, verify
+from .coloring import ToneColoring, checked
 from .graphs import Graph, distance_ball
 
 DEFAULT_BUDGET_NODES = 50_000_000
@@ -102,7 +104,6 @@ class SearchBudget:
 class SearchStats:
     nodes: int = 0
     elapsed_ms: float = 0.0
-    budget_exhausted: bool = False
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,8 @@ class _Meter:
             return True
         return self.deadline is not None and time.monotonic() >= self.deadline
 
-    def stats(self, exhausted: bool) -> SearchStats:
-        elapsed_ms = (time.monotonic() - self.start) * 1000.0
-        return SearchStats(self.nodes, elapsed_ms, budget_exhausted=exhausted)
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, (time.monotonic() - self.start) * 1000.0)
 
     def overrun(self, nodes: int) -> int:
         """Record ``nodes``; raise if a cap is spent, else return the next limit."""
@@ -492,10 +492,7 @@ def _decide(
     status = _search(prep, t, k, assign, meter)
     if status != FEASIBLE:
         return status, None
-    witness = _witness_from(prep.order, assign, t, k)
-    if not verify(graph, witness).valid:
-        raise AssertionError("search produced an invalid witness")
-    return status, witness
+    return status, checked(graph, _witness_from(prep.order, assign, t, k))
 
 
 def feasible(
@@ -518,7 +515,7 @@ def feasible(
         raise ValueError(f"k={k} < t={t}: each vertex needs t distinct colors")
     meter = _Meter(budget or SearchBudget())
     status, witness = _decide(graph, _prepare(graph, t), t, k, meter)
-    return FeasibilityResult(status, witness, meter.stats(status == TIMEOUT))
+    return FeasibilityResult(status, witness, meter.stats())
 
 
 def greedy_clique_size(graph: Graph) -> int:
@@ -551,10 +548,44 @@ def starting_lower_bound(graph: Graph, t: int) -> int:
     return best
 
 
-def _trivial_coloring(graph: Graph, t: int) -> ToneColoring:
-    """Pairwise disjoint t-sets; valid on any graph with t*n colors."""
-    rows = [list(range(v * t, (v + 1) * t)) for v in range(graph.n)]
-    return ToneColoring(t, t * graph.n, rows)
+def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
+    """The greedy heuristic at the smallest palette cap it succeeds with.
+
+    Caps are tried upward from the degree lower bound (from t where that
+    bound does not apply); no smaller cap can succeed, since its coloring
+    would beat a lower bound. The search order and the constraint lists
+    are prepared once and shared by every cap tried.
+    """
+    prep = _prepare(graph, t)
+    return _climb(graph, prep, t, bounds.degree_bound(graph.max_degree, t) or t)
+
+
+def _climb(graph: Graph, prep: _Prepared, t: int, cap: int) -> ToneColoring:
+    """_greedy at cap, cap + 1, ... until it succeeds, by t*n at the latest.
+
+    Caps below tau_t fail, so every start up to tau_t gives one coloring.
+    It uses all cap colors: a lex-first set never skips a color no earlier
+    vertex holds, so it uses 0..u-1 for some u, and cap u picks the same."""
+    while True:
+        coloring = _greedy(graph, prep, t, cap)
+        if coloring is not None:
+            return coloring
+        cap += 1
+
+
+def _greedy(graph: Graph, prep: _Prepared, t: int, cap: int) -> Optional[ToneColoring]:
+    """The lex-first valid set at each search position, or None at the
+    first position that has none; verified when it succeeds."""
+    assign = [0] * graph.n
+    meter = _Meter()  # no budget: the greedy pass only counts its nodes
+    for i, plist in enumerate(prep.partners):
+        constraints = [(assign[j], limit) for j, limit in plist]
+        # used=cap disables the introduce-in-order rule: plain lex search.
+        mask = next(_candidate_sets(cap, t, cap, constraints, meter), None)
+        if mask is None:
+            return None
+        assign[i] = mask
+    return checked(graph, _witness_from(prep.order, assign, t, cap))
 
 
 def tau_exact(
@@ -569,9 +600,9 @@ def tau_exact(
     a palette size starts only while some of it is left. Exact outcomes
     carry the witness; the infeasibility of value-1 is either
     search-proved (when the loop visited it) or implied by the starting
-    lower bound. On budget exhaustion the outcome is the honest bracket
-    [first k not refuted, t*n] with the trivial disjoint coloring as upper
-    witness.
+    lower bound. When the budget stops the loop first, the greedy climbs
+    from the first k not refuted on the same prepared search (see _climb),
+    its nodes uncounted: exact if it uses k colors, else [k, its colors].
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -583,9 +614,12 @@ def tau_exact(
     while not meter.spent():
         status, witness = _decide(graph, prep, t, k, meter)
         if status == FEASIBLE:
-            return SolveOutcome(EXACT, k, k, k, witness, meter.stats(False))
+            return SolveOutcome(EXACT, k, k, k, witness, meter.stats())
         if status == TIMEOUT:
             break
         k += 1
-    witness = _trivial_coloring(graph, t)
-    return SolveOutcome(TIMEOUT, None, k, t * graph.n, witness, meter.stats(True))
+    witness = _climb(graph, prep, t, k)
+    upper = witness.palette_size
+    if upper == k:
+        return SolveOutcome(EXACT, k, k, k, witness, meter.stats())
+    return SolveOutcome(TIMEOUT, None, k, upper, witness, meter.stats())

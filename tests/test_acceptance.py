@@ -23,7 +23,6 @@ from tonelab.coloring import (
 )
 from tonelab.constructions import (
     SCHEMES,
-    _greedy,
     greedy_large_t_coloring,
     mols_coloring_knn,
     multipartite_coloring,
@@ -45,6 +44,7 @@ from tonelab.solver import (
     FEASIBLE,
     INFEASIBLE,
     SearchBudget,
+    _greedy,
     _prepare,
     feasible,
     greedy_clique_size,

@@ -8,9 +8,9 @@ from itertools import product
 import pytest
 from oracles import bfs_components, is_path, is_tree, random_graph, random_tree
 
-from tonelab import bounds, cli, constructions, solver
+from tonelab import bounds, cli, coloring, constructions, solver
 from tonelab.coloring import load_coloring, save_coloring, ToneColoring, verify
-from tonelab.graphs import Graph, build_gnp, build_path, build_star, save_graph
+from tonelab.graphs import Graph, build_gnp, build_path, build_star, load_graph, save_graph
 from tonelab.solver import tau_exact
 
 
@@ -87,7 +87,17 @@ def test_solve_budget_exhaustion_exit3(capsys):
         "solve", "--family", "star", "5", "--t", "3", "--budget-nodes", "1"
     )
     assert code == 3
-    assert "bracket" in capsys.readouterr().out
+    assert "bracket [9, 10]" in capsys.readouterr().out  # the greedy's 10 = tau_3(S_5)
+    # the upper end is the greedy heuristic's palette, not t*n
+    for family, t, nodes, code, lower, upper in (
+        ("hypercube 4", 3, 0, 3, 9, 12),
+        ("gnp 300 0.01 1", 2, 25_000, 3, 7, 8),
+        ("tree 3 4", 2, 0, 0, 5, 5),  # the greedy meets the degree bound
+    ):
+        argv = ["--family", *family.split(), "--t", str(t), "--budget-nodes", str(nodes)]
+        assert run_main("solve", *argv, "--json") == code, family
+        out = json.loads(capsys.readouterr().out)
+        assert (out["best_lower"], out["best_upper"]) == (lower, upper), family
 
 
 def test_solve_witness_reverifies_in_separate_process(tmp_path):
@@ -163,11 +173,14 @@ def test_bound_graph_file(tmp_path, capsys):
     save_graph(build_star(3), gpath)
     assert run_main("bound", str(gpath), "--t", "2") == 0
     out = capsys.readouterr().out
-    assert "tree_2tone" in out and "star_formula" not in out
+    assert "exact on trees at t = 2" in out
+    assert "tree_2tone" not in out and "star_formula" not in out  # the degree row says it
 
 
 # bound --json lines: every row keeps the bytes it had when stars also got
-# a star_formula row, which repeated the pairsum row
+# a star_formula row, which repeated the pairsum row, and trees at t = 2 a
+# tree_2tone row, which repeated the degree row; the degree row now says it
+# is exact there, and a pairsum row below t says so
 BOUND_JSON = {
     ('path 6', 4): (
         '{"bounds": [{"kind": "lower", "note": "max degree 2", "source": "degree", '
@@ -176,11 +189,10 @@ BOUND_JSON = {
         '"source": "path_formula", "value": 12}], "instance": "path 6", "t": 4}\n'
     ),
     ('star 1', 2): (
-        '{"bounds": [{"kind": "lower", "note": "max degree 1", "source": "degree", '
-        '"value": 4}, {"kind": "exact", "note": "equality hypothesis holds", '
+        '{"bounds": [{"kind": "exact", "note": "max degree 1; exact on trees at t = 2", '
+        '"source": "degree", "value": 4}, {"kind": "exact", "note": "equality hypothesis holds", '
         '"source": "pairsum", "value": 4}, {"kind": "exact", "note": "path on 2 vertices", '
-        '"source": "path_formula", "value": 4}, {"kind": "exact", "note": "tree formula", '
-        '"source": "tree_2tone", "value": 4}], "instance": "star 1", "t": 2}\n'
+        '"source": "path_formula", "value": 4}], "instance": "star 1", "t": 2}\n'
     ),
     ('star 3', 5): (
         '{"bounds": [{"kind": "lower", "note": "max degree 3", "source": "degree", '
@@ -193,10 +205,10 @@ BOUND_JSON = {
         '"source": "pairsum", "value": 8}], "instance": "star 5", "t": 3}\n'
     ),
     ('tree 3 2', 2): (
-        '{"bounds": [{"kind": "lower", "note": "max degree 3", "source": "degree", '
-        '"value": 5}, {"kind": "lower", "note": "equality needs t >= 27", '
-        '"source": "pairsum", "value": -52}, {"kind": "exact", "note": "tree formula", '
-        '"source": "tree_2tone", "value": 5}], "instance": "tree 3 2", "t": 2}\n'
+        '{"bounds": [{"kind": "exact", "note": "max degree 3; exact on trees at t = 2", '
+        '"source": "degree", "value": 5}, {"kind": "lower", '
+        '"note": "equality needs t >= 27; below the trivial bound t = 2", '
+        '"source": "pairsum", "value": -52}], "instance": "tree 3 2", "t": 2}\n'
     ),
     ('multipartite 2,3,4', 3): (
         '{"bounds": [{"kind": "lower", "note": "max degree 7", "source": "degree", '
@@ -296,6 +308,8 @@ def _reference_pairsum_row(graph: Graph, t: int) -> dict:
         kind, note = "lower", "equality fails on another component"
     if len(comps) > 1:
         note += f"; max over {len(comps)} components"
+    if best.value < t:
+        note += f"; below the trivial bound t = {t}"
     return {"source": "pairsum", "kind": kind, "value": best.value, "note": note}
 
 
@@ -310,18 +324,20 @@ def test_bound_rows_match_the_reference_shape_tests():
             # the inline guard the CLI and the solver used before degree_bound
             old = bounds.degree_lower_bound(delta, t) if t >= 2 and delta >= 1 else None
             assert rows["degree"]["value"] == old
+            exact_tree = t == 2 and is_tree(graph) and delta >= 1
+            assert rows["degree"]["kind"] == ("exact" if exact_tree else "lower")
             assert rows["pairsum"] == _reference_pairsum_row(graph, t), (graph, t)
-            notes.add(rows["pairsum"]["note"].split(";")[0])
+            notes.update(part.strip() for part in rows["pairsum"]["note"].split(";"))
             expected = {"degree", "pairsum"}
             if is_path(graph):
                 expected.add("path_formula")
                 assert rows["path_formula"]["value"] == bounds.path_formula(graph.n, t)
-            if t == 2 and is_tree(graph) and delta >= 1:
-                expected.add("tree_2tone")
-                assert rows["tree_2tone"]["value"] == old
             assert set(rows) == expected, (graph.n, graph.edges, t)
     assert disconnected >= 40
-    assert {"equality fails on another component", "equality needs t >= 3"} <= notes
+    assert {
+        "equality fails on another component", "equality needs t >= 3",
+        "below the trivial bound t = 2",
+    } <= notes
 
 
 def test_bound_rows_build_only_components_that_can_win(monkeypatch):
@@ -495,7 +511,9 @@ def test_construct_every_method_round_trips(tmp_path, monkeypatch):
         calls.append(coloring)
         return verify(graph, coloring)
 
-    for module in (cli, constructions, solver):
+    # cli verifies files; every construction and solve goes through
+    # coloring.checked
+    for module in (cli, coloring):
         monkeypatch.setattr(module, "verify", counting_verify)
     cases = [
         ["--method", "large-t", "--family", "star", "3", "--t", "5"],
@@ -518,6 +536,48 @@ def test_construct_every_method_round_trips(tmp_path, monkeypatch):
         assert calls.count(load_coloring(cpath)) == 1, extra
         proc = run_proc("verify", str(gpath), str(cpath))
         assert proc.returncode == 0, (extra, proc.stdout, proc.stderr)
+
+
+# L_a(x, y) = a*x + y over GF(4) = {0, 1, a, a + 1} as 0..3, for a = 1, 2,
+# 3: addition is XOR, and 2*2 = 3
+GF4_FAMILY = """4 3
+0 1 2 3
+1 0 3 2
+2 3 0 1
+3 2 1 0
+
+0 1 2 3
+2 3 0 1
+3 2 1 0
+1 0 3 2
+
+0 1 2 3
+3 2 1 0
+1 0 3 2
+2 3 0 1
+"""
+
+
+def test_construct_mols_from_a_family_file(tmp_path, capsys):
+    fpath, cpath, gpath = tmp_path / "gf4.ls", tmp_path / "k4.col", tmp_path / "k4.gr"
+    fpath.write_text(GF4_FAMILY)
+    code = run_main(
+        "construct", "--method", "mols", "--n", "4", "--t", "3", "--family-file", str(fpath),
+        "-o", str(cpath), "--emit-graph", str(gpath), "--json",
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "colors_used": 12, "family_size": 3, "method": "mols", "order": 4,
+    }
+    coloring = load_coloring(cpath)
+    assert coloring.palette_size == 12
+    assert verify(load_graph(gpath), coloring).valid
+    code = run_main(
+        "construct", "--method", "mols", "--n", "5", "--t", "3", "--family-file", str(fpath),
+        "-o", str(tmp_path / "k5.col"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: family order does not match --n\n"
 
 
 def test_reproduce_tables_pass(capsys):

@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 from oracles import naive_verify, random_graph
 from tonelab.coloring import (
     ToneColoring,
+    checked,
     colors_used,
     format_coloring,
     parse_coloring,
     verify,
 )
-from tonelab.constructions import _greedy
 from tonelab.graphs import Graph, build_complete, build_path, build_star
-from tonelab.solver import _prepare
+from tonelab.solver import _greedy, _prepare
 
 
 def test_tone_coloring_invariants():
@@ -48,9 +48,14 @@ def test_verify_star_nine_colors():
 
 def test_verify_reports_distance2_violation():
     g = build_path(3)
-    rep = verify(g, ToneColoring(2, 4, [[0, 1], [2, 3], [0, 1]]))
+    bad = ToneColoring(2, 4, [[0, 1], [2, 3], [0, 1]])
+    rep = verify(g, bad)
     assert not rep.valid
     assert rep.violations == ((0, 2, 2, 2),)
+    with pytest.raises(AssertionError, match=r"first violation \(0, 2, 2, 2\)"):
+        checked(g, bad)
+    good = ToneColoring(2, 5, [[0, 1], [2, 3], [0, 4]])
+    assert checked(g, good) is good
 
 
 def test_verify_disconnected_pairs_unconstrained():

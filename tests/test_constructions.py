@@ -9,8 +9,6 @@ from tonelab.bounds import degree_lower_bound, distance_deficiency
 from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import (
     SCHEMES,
-    _greedy,
-    greedy_heuristic_climb,
     greedy_large_t_coloring,
     greedy_proper_coloring,
     mols_coloring_knn,
@@ -30,7 +28,7 @@ from tonelab.graphs import (
     cartesian_power,
 )
 from tonelab.mols import prime_mols
-from tonelab.solver import _prepare
+from tonelab.solver import _greedy, _prepare, greedy_heuristic_climb
 
 
 def test_greedy_large_t_star():
