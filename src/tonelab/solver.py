@@ -26,24 +26,42 @@ Luks and Roy, KR 1996). x is valid, and:
   indices used, used+1, ... The lowest bit of the difference at p is then
   one of those, so the relabeling comes before x: a contradiction.
   Forcing the first vertex to {0..t-1} is the used=0 case.
+* x takes the lowest colors of every class of interchangeable colors.
+  Before position p, colors a and b are interchangeable when every
+  earlier position holds both or neither. If x[p] held b but not a for
+  interchangeable a < b, swapping the names a and b would fix every
+  earlier position and replace b by a at p, the lowest bit of the
+  difference, so it would come before x: a contradiction. This covers
+  the colors no earlier position holds, so the previous property is its
+  case for the class of unused colors (Van Hentenryck, Agren, Flener and
+  Pearson, "Tractable symmetry breaking for CSPs with interchangeable
+  values", IJCAI 2003). Since every set takes a prefix of each class,
+  the classes stay runs of consecutive colors, refined by each
+  placement, and one bitmask of class starts describes them: the search
+  admits color c only when c starts its class or c - 1 is in the set.
 * The masks of false twins are non-decreasing along the search order.
   Otherwise swapping twins at positions i < j with x[i] > x[j] changes
   nothing before i and puts the smaller x[j] at i: a contradiction. The
   search compares each twin with the previous one of its class only;
   the order is total, so the chain sorts the whole class.
 
-The search enumerates exactly the assignments with both properties that
+The search enumerates exactly the assignments with these properties that
 pass its prunes, and every prune keeps x: the distance check and the
 reachability bound of _candidate_sets drop only sets that no valid
 coloring extends, and the fresh-color floor (suffix_fresh) bounds the
 colors every coloring of the first form introduces. Each is a property of
 x alone, not a comparison with other colorings, so it cannot drop x in
 favor of a relative that was itself cut. Hence Infeasible means no
-coloring exists at all. Both rules read the same order, positions first,
-then colors ascending; breaking color and vertex symmetry by orders that
-disagree can cut every solution. Nothing above depends on which order the
-positions follow, only that it is fixed before the search starts, so the
-argument holds for any static search order.
+coloring exists at all. All three rules read the same order, positions
+first, then colors ascending; breaking color and vertex symmetry by
+orders that disagree can cut every solution. Nothing above depends on
+which order the positions follow, only that it is fixed before the
+search starts, so the argument holds for any static search order.
+
+The least valid coloring with the palette is the x of its own orbit, so
+no rule cuts it, and the search, which tries sets in this order, meets
+it first: the first solution found is the lex-least valid coloring,
+whichever of these rules are in force.
 
 The twin floor is not strict: twins at distance 2 may share one color, so
 at t = 1 they may carry the same set (tau_1 of S_2 is 2 only because
@@ -268,6 +286,7 @@ def _candidate_sets(
     constraints: list[tuple[int, int]],
     meter: _Meter,
     floor: int = 0,
+    starts: int = -1,
 ):
     """Yield valid t-subsets of {0..k-1} as bitmasks, lexicographically.
 
@@ -296,6 +315,14 @@ def _candidate_sets(
     blocks each open constraint containing c that the new mask has spent,
     and takes one unit of allowance per open constraint containing c.
     Backtracking therefore undoes nothing.
+
+    ``starts`` marks the first color of each class of interchangeable
+    colors (see the module docstring); classes are runs of consecutive
+    colors, and an old color c is picked only when bit c of ``starts`` is
+    set or c - 1 is already in the mask, so the mask takes a prefix of
+    each class. The run of brand-new colors is a prefix of the class of
+    unused colors and needs no check. The default, every bit set, puts
+    each color in a class of its own and admits every old color.
 
     A nonzero ``floor``, a t-subset of the introduced colors, drops every
     mask that comes before it in this order. While the picks so far are
@@ -363,7 +390,7 @@ def _candidate_sets(
                 end = top_free.bit_length()
         if lo < end:
             top = end if end < used else used
-            cand = ((1 << top) - 1) >> lo << lo & ~blocked
+            cand = ((1 << top) - 1) >> lo << lo & ~blocked & (starts | mask << 1)
             if slots == 1:  # every old candidate completes the set
                 while cand:
                     low = cand & -cand
@@ -439,7 +466,9 @@ def _search(
     _, partners, suffix_fresh, twin_prev = prep
     n = len(partners)
     streams = [None] * n
-    used_at = [0] * (n + 1)
+    # class starts of the colors after each position: bit c is set when
+    # some placed set holds exactly one of c - 1 and c (bit 0 always)
+    starts_at = [1] * (n + 1)
     pos = 0
     stream = None
     try:
@@ -452,7 +481,10 @@ def _search(
                 # a false twin's mask comes no earlier than the previous one's
                 twin = twin_prev[pos]
                 floor = assign[twin] if twin >= 0 else 0
-                stream = _candidate_sets(k_eff, t, used_at[pos], constraints, meter, floor)
+                starts = starts_at[pos]
+                # the highest class start is the first unused color
+                used = starts.bit_length() - 1
+                stream = _candidate_sets(k_eff, t, used, constraints, meter, floor, starts)
                 streams[pos] = stream
             mask = next(stream, 0)
             if not mask:
@@ -466,10 +498,8 @@ def _search(
             if nodes > meter.limit:
                 meter.overrun(nodes)
             assign[pos] = mask
-            used = used_at[pos]
-            width = mask.bit_length()
+            starts_at[pos + 1] = starts_at[pos] | (mask ^ (mask << 1))
             pos += 1
-            used_at[pos] = width if width > used else used
             stream = None
     except _BudgetExhausted:
         return TIMEOUT
@@ -580,7 +610,8 @@ def _greedy(graph: Graph, prep: _Prepared, t: int, cap: int) -> Optional[ToneCol
     meter = _Meter()  # no budget: the greedy pass only counts its nodes
     for i, plist in enumerate(prep.partners):
         constraints = [(assign[j], limit) for j, limit in plist]
-        # used=cap disables the introduce-in-order rule: plain lex search.
+        # used=cap and the default starts (one class per color) disable
+        # the color symmetry rules: plain lex search.
         mask = next(_candidate_sets(cap, t, cap, constraints, meter), None)
         if mask is None:
             return None

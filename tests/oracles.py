@@ -5,10 +5,10 @@ definitions, sharing no machinery with the implementation under test:
 orthogonality of two squares as a set of cell pairs, Floyd-Warshall
 distances, a naive pair-scan verifier on sorted lists, an exact chromatic
 number by plain backtracking, `brute_force_tau`, the t-tone chromatic
-number by plain enumeration, the most-constrained search order by plain
-rescoring, queue-driven BFS for the components, and an isomorphism-class
-enumerator for small connected graphs. Nothing here imports
-`tonelab.solver`.
+number by plain enumeration (its first vertex fixed to {0..t-1}), the
+most-constrained search order by plain rescoring, queue-driven BFS for
+the components, and an isomorphism-class enumerator for small connected
+graphs. Nothing here imports `tonelab.solver`.
 
 Some references keep earlier implementations of package code instead,
 for tests that require the current code to agree with them exactly:
@@ -177,10 +177,14 @@ def brute_force_tau(graph: Graph, t: int, k_max: int) -> Optional[int]:
 
     Vertices are taken by descending degree, ties by index, so an
     isolated vertex comes last instead of multiplying every refutation.
-    Candidate sets come from itertools.combinations, and the only pruning
-    is rejecting a partial assignment as soon as one pair violates its
-    distance constraint. No symmetry breaking, no shared solver machinery.
-    Intended for tiny instances.
+    The first vertex takes {0..t-1} only: validity depends on set
+    intersections, never on color names, so some permutation of any
+    valid coloring gives it that set, and each refutation is C(k, t)
+    times shorter. Every later vertex tries each t-subset from
+    itertools.combinations, and the only pruning is rejecting a partial
+    assignment as soon as one pair violates its distance constraint. No
+    other symmetry breaking, no shared solver machinery. Intended for
+    tiny instances.
     """
     if t < 1 or graph.n == 0:
         raise ValueError("need t >= 1 and a nonempty graph")
@@ -221,7 +225,7 @@ def _plain_distances(graph: Graph, cap: int) -> dict[tuple[int, int], int]:
 def _bf_extend(graph, t, k, dist, assigned: dict[int, frozenset], v: int) -> bool:
     if v == graph.n:
         return True
-    for combo in combinations(range(k), t):
+    for combo in combinations(range(k), t) if v else [range(t)]:
         s = frozenset(combo)
         ok = True
         for w, sw in assigned.items():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -695,6 +696,46 @@ def test_solve_json_stable():
     assert a.stdout == b.stdout
     payload = json.loads(a.stdout)
     assert payload["value"] == 9 and payload["status"] == "exact"
+
+
+# (family, t) -> SHA-256 of the `solve --json` line without its node count,
+# and of the witness file; recorded before the interchangeable-color rule
+SOLVE_SHA256 = {
+    ("star 5", 3): (
+        "034f80c92fa2373e55c4065293bcade23adb13048d3a178176abe0fa88227f0f",
+        "f8334c1e2710af981500f0fcd3e354f6485a1fd326d9622f64e39c40e5e6131a",
+    ),
+    ("gnp 60 0.05 1", 2): (
+        "2bccdc7a20b606c422467458f56f601d04e050e8a9c483c0138f05466111dc16",
+        "ccd84ce86794e3ffc1f8412d59309a6790520aca539d475180a6489833ea1ef3",
+    ),
+    ("hypercube 4", 2): (
+        "344ea899395b03016b4b26670dc9b7d1e632fb56fd08bbeed509f9eac067ed54",
+        "f29489a69af83844b3cb27b07cb436fd80cd6c313b75a1bbc247f7382235bbc8",
+    ),
+    ("knn 3", 2): (
+        "c18eba34801ea0d40b2ebe9fef720bcb1a02fa28294cec2e6d02c54420806c1a",
+        "2eb5d929cd8af9c3580c49d3bf0e620235578965f42c6eee8f2e4ec33cbedfd0",
+    ),
+    ("path 6", 4): (
+        "dd11a5d82a79ca0c453553dbee92e221d2a9202e6d6d4d2091e8eb5b2db44a9a",
+        "75c944bffbbb4e903298f5dbd98dc4dbebdad7dbdfe95d8377ac96409730bf33",
+    ),
+}
+
+
+def test_solve_bytes_are_pinned(tmp_path, capsys):
+    """Symmetry breaking that keeps the lex-least coloring changes only
+    the node count: the verdict and the witness keep their bytes."""
+    witness = tmp_path / "w.col"
+    for (family, t), digests in SOLVE_SHA256.items():
+        argv = ["solve", "--family", *family.split(), "--t", str(t), "--json"]
+        assert run_main(*argv, "--emit-witness", str(witness)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["nodes"]
+        line = json.dumps(payload, sort_keys=True).encode()
+        got = (hashlib.sha256(line).hexdigest(), hashlib.sha256(witness.read_bytes()).hexdigest())
+        assert got == digests, family
 
 
 def test_mols_subcommand(tmp_path, capsys):

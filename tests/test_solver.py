@@ -247,16 +247,32 @@ def test_witness_palette_matches_value():
 
 
 def test_differential_against_oracle_random():
-    rng = random.Random(77)
-    for trial in range(30):
-        if trial % 2 == 0:
-            n, t = rng.randrange(2, 6), 2
-        else:
-            n, t = rng.randrange(2, 4), 3  # brute-force stays cheap here
-        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+    """Each set takes the lowest colors of every class of colors the placed
+    vertices hold alike, and no coloring is lost: the brute-force oracle,
+    which fixes only the first vertex's set, agrees on random graphs and
+    small trees at t = 1 to 4. The classes must come from every placed
+    vertex, not only from those within distance t of the next one: at
+    t = 1 on about one graph in a hundred of these sizes, classes read
+    from the neighbors alone cut every coloring with tau_1 colors."""
+    from oracles import connected_graphs_up_to_iso, trees_up_to_iso
+
+    # denser graphs at t = 3 on 5 vertices, or S_3 at t = 4, take the
+    # oracle a second or more each
+    rng = random.Random(19)
+    instances = []
+    sizes = ((1, 6, 10, 0.6, 60), (2, 4, 7, 0.6, 30), (3, 3, 5, 0.4, 20))
+    for t, n_lo, n_hi, p_hi, count in sizes:
+        for _ in range(count):
+            n = rng.randrange(n_lo, n_hi + 1)
+            instances.append((random_graph(rng, n, rng.uniform(0.2, p_hi)), t))
+    instances += [(tree, 3) for n in range(1, 6) for tree in trees_up_to_iso(n)]
+    instances += [(g, 4) for n in range(1, 4) for g in connected_graphs_up_to_iso(n)]
+    instances.append((build_path(4), 4))
+    assert len(instances) == 123
+    for g, t in instances:
         out = tau_exact(g, t)
         assert out.status == EXACT
-        assert out.value == brute_force_tau(g, t, t * n), (sorted(g.edges), t)
+        assert out.value == brute_force_tau(g, t, t * g.n), (sorted(g.edges), t)
 
 
 def test_brackets_agree_with_the_oracle_under_every_budget():
@@ -291,10 +307,10 @@ def test_brackets_agree_with_the_oracle_under_every_budget():
 def test_search_effort_tripwires():
     """Generous ceilings on the known-hard instances.
 
-    The fresh-color floor keeps large-t tree instances near-greedy and
-    the 17-color refutation in the low hundreds of thousands of steps;
-    a regression that reintroduces blind backtracking blows well past
-    these limits long before it times out.
+    The fresh-color floor keeps large-t tree instances near-greedy, and
+    the symmetry rules keep the 17-color refutation far below its
+    ceiling; a regression that reintroduces blind backtracking blows
+    well past these limits long before it times out.
     """
     from oracles import trees_up_to_iso
     from tonelab.bounds import distance_deficiency
@@ -323,13 +339,16 @@ def test_candidate_generator_completeness():
     t-subsets under the introduce-in-order rule, in lexicographic order.
 
     This pins the symmetry breaking: the canonical assignments it admits
-    are exactly {new colors consecutive from `used`} and nothing else.
+    are exactly {new colors consecutive from `used`} and nothing else,
+    and with class starts, also each old color a class start or the
+    successor of a picked color.
     """
     from itertools import combinations
 
     from tonelab.solver import _candidate_sets, _Meter
 
     rng = random.Random(31)
+    class_rng = random.Random(33)
     for _ in range(300):
         k = rng.randrange(1, 9)
         t = rng.randrange(1, min(4, k) + 1)
@@ -342,7 +361,6 @@ def test_candidate_generator_completeness():
             for c in rng.sample(range(used), min(size, used)):
                 mask |= 1 << c
             constraints.append((mask, rng.randrange(0, t + 1)))
-        got = list(_candidate_sets(k, t, used, list(constraints), _Meter()))
 
         def canonical(subset):
             new = [c for c in subset if c >= used]
@@ -354,12 +372,17 @@ def test_candidate_generator_completeness():
                 mask |= 1 << c
             return all((mask & cm).bit_count() <= lim for cm, lim in constraints)
 
-        expect = [
-            sum(1 << c for c in subset)
-            for subset in combinations(range(k), t)
-            if canonical(subset) and satisfies(subset)
-        ]
-        assert got == expect, (k, t, used, constraints)
+        def prefixes(subset, starts):
+            return all(c >= used or starts >> c & 1 or c - 1 in subset for c in subset)
+
+        for starts in (-1, 1 | class_rng.getrandbits(used)):
+            got = list(_candidate_sets(k, t, used, list(constraints), _Meter(), 0, starts))
+            expect = [
+                sum(1 << c for c in subset)
+                for subset in combinations(range(k), t)
+                if canonical(subset) and satisfies(subset) and prefixes(subset, starts)
+            ]
+            assert got == expect, (k, t, used, constraints, starts)
 
 
 def precedes(a: int, b: int) -> bool:
@@ -522,10 +545,11 @@ def test_candidate_generator_matches_counted_reference():
 
 
 def test_wall_clock_budget_times_out():
-    # the 6-vertex extension of S_3 needs a few thousand nodes, so the
-    # deadline check (every 1024 nodes) fires before the search can finish
-    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    res = feasible(g, 5, 17, SearchBudget(max_nodes=None, max_millis=0.001))
+    # the cube of S_3 with 7 colors at t = 2 is open at two million nodes,
+    # so the deadline check (every 1024 nodes) fires before the search can
+    # finish
+    g = cartesian_power(build_star(3), 3)
+    res = feasible(g, 2, 7, SearchBudget(max_nodes=None, max_millis=0.001))
     assert res.status == TIMEOUT
 
 
@@ -543,10 +567,10 @@ def test_exact_node_counts_are_pinned():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     res = feasible(s3_plus_2, 5, 17)
     assert res.status == INFEASIBLE
-    assert res.stats.nodes == 93_041
+    assert res.stats.nodes == 68
     out = tau_exact(build_star(9), 3)  # nine twin leaves
     assert (out.status, out.value) == (EXACT, 12)
-    assert out.stats.nodes == 8_003
+    assert out.stats.nodes == 2_424
     g = build_gnp(60, 0.05, 1)
     res = feasible(g, 2, 7)
     assert res.status == FEASIBLE
@@ -554,15 +578,15 @@ def test_exact_node_counts_are_pinned():
     assert verify(g, res.witness).valid
     out = tau_exact(g, 2, SearchBudget(max_nodes=100_000))
     assert (out.status, out.value) == (EXACT, 7)  # k = 6 refuted, 7 found
-    assert out.stats.nodes == 55_500
+    assert out.stats.nodes == 14_074
 
 
 def test_wall_clock_budget_bounds_elapsed_time():
-    # Q_4 with 11 colors at t = 3: open at two million nodes, far more
-    # than the budget allows
-    q4 = cartesian_power(Graph(2, [(0, 1)]), 4)
+    # the cube of S_3 (64 vertices) with 7 colors at t = 2: open at two
+    # million nodes, far more than the budget allows
+    s3_cubed = cartesian_power(build_star(3), 3)
     budget_ms = 300.0
-    res = feasible(q4, 3, 11, SearchBudget(max_nodes=None, max_millis=budget_ms))
+    res = feasible(s3_cubed, 2, 7, SearchBudget(max_nodes=None, max_millis=budget_ms))
     assert res.status == TIMEOUT
     assert res.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
 
@@ -571,16 +595,16 @@ def test_tau_exact_counts_every_palette_size_on_one_budget():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     out = tau_exact(s3_plus_2, 5)
     assert out.status == EXACT and out.value == 18
-    assert out.stats.nodes == 1 + 93_041 + 42  # k = 16, 17 refuted; 18 found
+    assert out.stats.nodes == 1 + 68 + 42  # k = 16, 17 refuted; 18 found
     star5 = build_star(5)
     out = tau_exact(star5, 3)
     assert out.status == EXACT and out.value == 10
-    assert out.stats.nodes == 129
-    # k = 9 is refuted in exactly 98 nodes: the spent cap stops the run
+    assert out.stats.nodes == 68
+    # k = 9 is refuted in exactly 37 nodes: the spent cap stops the run
     # before k = 10, so the count does not read one past the cap, and the
     # greedy heuristic closes the bracket at 10 without adding a node
-    out = tau_exact(star5, 3, SearchBudget(max_nodes=98))
-    assert (out.status, out.value, out.stats.nodes) == (EXACT, 10, 98)
+    out = tau_exact(star5, 3, SearchBudget(max_nodes=37))
+    assert (out.status, out.value, out.stats.nodes) == (EXACT, 10, 37)
     out = tau_exact(build_path(6), 4, SearchBudget(max_nodes=2))
     assert (out.status, out.value, out.stats.nodes) == (EXACT, 12, 2)
 
@@ -645,12 +669,13 @@ def test_feasible_on_the_empty_graph():
 
 
 def test_tau_exact_wall_clock_budget_spans_palette_sizes():
-    # k = 16 is refuted in one node; k = 17 needs ~93k nodes, far more
-    # than 20 ms, so the shared deadline falls inside it
-    s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    # the cube of P_4 at t = 3: k = 10 is refuted in 178 nodes; k = 11 is
+    # open at three million nodes, far more than 20 ms, so the shared
+    # deadline falls inside it
+    p4_cubed = cartesian_power(build_path(4), 3)
     budget_ms = 20.0
-    out = tau_exact(s3_plus_2, 5, SearchBudget(max_nodes=None, max_millis=budget_ms))
-    assert out.status == TIMEOUT and out.best_lower == 17
-    assert out.witness == greedy_heuristic_climb(s3_plus_2, 5)
-    assert 1 < out.stats.nodes < 1 + 93_041
+    out = tau_exact(p4_cubed, 3, SearchBudget(max_nodes=None, max_millis=budget_ms))
+    assert out.status == TIMEOUT and out.best_lower == 11
+    assert out.witness == greedy_heuristic_climb(p4_cubed, 3)
+    assert out.stats.nodes >= 178
     assert out.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
