@@ -103,11 +103,12 @@ def _input_graph(args) -> tuple[Graph, str]:
 def _budget(args) -> solver.SearchBudget:
     nodes = getattr(args, "budget_nodes", None)
     millis = getattr(args, "budget_ms", None)
-    if nodes is not None and nodes < 0 or millis is not None and not millis >= 0:
-        raise ValueError("--budget-nodes and --budget-ms must be >= 0")
     if nodes is None and millis is None:
         return solver.SearchBudget()
-    return solver.SearchBudget(max_nodes=nodes, max_millis=millis)
+    try:
+        return solver.SearchBudget(max_nodes=nodes, max_millis=millis)
+    except ValueError:
+        raise ValueError("--budget-nodes and --budget-ms must be finite and >= 0") from None
 
 
 def cmd_verify(args) -> int:

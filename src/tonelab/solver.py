@@ -23,9 +23,10 @@ Luks and Roy, KR 1996). x is valid, and:
   that form changes. Before p, x agrees with its relabeling, which
   introduces colors in order, so the relabeling fixes every color used
   before p; it moves the new colors of x[p] onto the lowest unused
-  indices used, used+1, ... The lowest bit of the difference at p is then
-  one of those, so the relabeling comes before x: a contradiction.
-  Forcing the first vertex to {0..t-1} is the used=0 case.
+  indices u, u+1, ..., where u colors appear before p. The lowest bit of
+  the difference at p is then one of those, so the relabeling comes
+  before x: a contradiction. Forcing the first vertex to {0..t-1} is the
+  u = 0 case.
 * x takes the lowest colors of every class of interchangeable colors.
   Before position p, colors a and b are interchangeable when every
   earlier position holds both or neither. If x[p] held b but not a for
@@ -39,6 +40,8 @@ Luks and Roy, KR 1996). x is valid, and:
   the classes stay runs of consecutive colors, refined by each
   placement, and one bitmask of class starts describes them: the search
   admits color c only when c starts its class or c - 1 is in the set.
+  The code enforces this class rule only: the colors no earlier position
+  holds form the last class, and its rule is the first property.
 * The masks of false twins are non-decreasing along the search order.
   Otherwise swapping twins at positions i < j with x[i] > x[j] changes
   nothing before i and puts the smaller x[j] at i: a contradiction. The
@@ -66,9 +69,7 @@ whichever of these rules are in force.
 The twin floor is not strict: twins at distance 2 may share one color, so
 at t = 1 they may carry the same set (tau_1 of S_2 is 2 only because
 its two leaves share a color), and twins without neighbors may share any
-set. The run of brand-new colors never needs the floor check: the twin
-was placed earlier, so every color of its set is below used, and a run
-puts a color >= used where the floor still has one of those.
+set.
 
 The search runs on explicit stacks: one lazy candidate stream per search
 position, and inside each stream one frame per picked color. Its depth is
@@ -87,6 +88,7 @@ the graph on the same prepared search and gives the bracket's upper end.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -108,14 +110,20 @@ EXACT = "exact"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and/or wall-clock caps; at least one must be finite."""
+    """Node and/or wall-clock caps; at least one must be set, and each set
+    cap must be finite and >= 0 (None means no cap of that kind)."""
 
     max_nodes: Optional[int] = DEFAULT_BUDGET_NODES
     max_millis: Optional[float] = None
 
     def __post_init__(self):
         if self.max_nodes is None and self.max_millis is None:
-            raise ValueError("at least one budget cap must be finite")
+            raise ValueError("at least one budget cap must be set")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError(f"max_nodes={self.max_nodes} must be >= 0")
+        # the negated test also rejects NaN, which compares false to all
+        if self.max_millis is not None and not 0 <= self.max_millis < math.inf:
+            raise ValueError(f"max_millis={self.max_millis} must be finite and >= 0")
 
 
 @dataclass
@@ -282,7 +290,6 @@ class _Meter:
 def _candidate_sets(
     k: int,
     t: int,
-    used: int,
     constraints: list[tuple[int, int]],
     meter: _Meter,
     floor: int = 0,
@@ -290,56 +297,50 @@ def _candidate_sets(
 ):
     """Yield valid t-subsets of {0..k-1} as bitmasks, lexicographically.
 
-    ``used`` colors have been introduced so far; by the introduce-in-order
-    rule they are exactly 0..used-1, and any new colors in the candidate
-    must be used, used+1, ... consecutively. Each yielded mask satisfies
-    popcount(mask & cmask) <= limit for every (cmask, limit) constraint,
-    where limits are non-negative and t >= 1. Constraint masks only contain
-    already-introduced colors, so brand-new picks never need a check.
+    Each yielded mask satisfies popcount(mask & cmask) <= limit for every
+    (cmask, limit) constraint, where limits are non-negative, constraint
+    masks lie in {0..k-1} and t >= 1. A k below t yields nothing.
 
     Reachability pruning: every pick of a constrained color consumes at
     least one unit of the summed remaining constraint allowance, so the
     picks still obtainable from color c on are at most (unconstrained
-    colors in [c, used)) + min(summed allowance, constrained colors in
-    [c, used)) + (new colors left). That over-estimate never drops a valid
-    candidate but refutes a vertex whose remaining palette cannot reach t
-    in one step. Split at the min, the test becomes two upper ends on the
-    next old color c: c <= k - slots (enough colors left at all), and at
-    least slots - (new colors left) - allowance unconstrained colors in
-    [c, used).
+    colors in [c, k)) + min(summed allowance, constrained colors in
+    [c, k)). That over-estimate never drops a valid candidate but refutes
+    a vertex whose remaining palette cannot reach t in one step. Split at
+    the min, the test becomes two upper ends on the next color c:
+    c <= k - slots (enough colors left at all), and at least
+    slots - allowance unconstrained colors in [c, k).
 
     A constraint is spent once the mask holds ``limit`` of its colors, and
     the colors of a spent constraint are blocked. Each pick depth keeps a
     frame with the mask, the blocked colors and the summed allowance on
-    entry. Picking old color c derives the child's from its frame: it
-    blocks each open constraint containing c that the new mask has spent,
-    and takes one unit of allowance per open constraint containing c.
+    entry. Picking color c derives the child's from its frame: it blocks
+    each open constraint containing c that the new mask has spent, and
+    takes one unit of allowance per open constraint containing c.
     Backtracking therefore undoes nothing.
 
     ``starts`` marks the first color of each class of interchangeable
     colors (see the module docstring); classes are runs of consecutive
-    colors, and an old color c is picked only when bit c of ``starts`` is
-    set or c - 1 is already in the mask, so the mask takes a prefix of
-    each class. The run of brand-new colors is a prefix of the class of
-    unused colors and needs no check. The default, every bit set, puts
-    each color in a class of its own and admits every old color.
+    colors, and a color c is picked only when bit c of ``starts`` is set
+    or c - 1 is already in the mask, so the mask takes a prefix of each
+    class. The search's highest start is the first color no placed vertex
+    holds, so this one rule also introduces new colors in order. The
+    default, every bit set, puts each color in a class of its own and
+    admits every color.
 
-    A nonzero ``floor``, a t-subset of the introduced colors, drops every
-    mask that comes before it in this order. While the picks so far are
-    the floor's lowest colors (the frame is tight), the next old color
-    starts at the floor's next color; a pick above it leaves every
-    completion after the floor. The run of brand-new colors needs no
-    check: it puts a color >= used where the floor has an old one.
+    A nonzero ``floor``, a t-subset of {0..k-1}, drops every mask that
+    comes before it in this order. While the picks so far are the floor's
+    lowest colors (the frame is tight), the next color starts at the
+    floor's next color; a pick above it leaves every completion after the
+    floor.
 
     The picks form a depth-first search, run on an explicit stack. One
-    node is one entry into it: the empty pick, each old-color pick that
-    passes its constraint check, and each pick in the run of brand-new
-    colors. ``meter`` counts nodes and enforces the budget.
+    node is one entry into it: the empty pick and each pick of a color.
+    ``meter`` counts nodes and enforces the budget.
     """
-    full = (1 << used) - 1
-    # per old color: the open constraints (limit > 0) that one pick of it
+    # per color: the open constraints (limit > 0) that one pick of it
     # draws on; colors in a spent constraint are blocked
-    draws: list[tuple[tuple[int, int], ...]] = [()] * used
+    draws: list[tuple[tuple[int, int], ...]] = [()] * k
     constrained = blocked = allowance = 0
     for cmask, limit in constraints:
         constrained |= cmask
@@ -348,16 +349,15 @@ def _candidate_sets(
             blocked |= cmask
             continue
         entry = ((cmask, limit),)
-        bits = cmask & full
+        bits = cmask
         while bits:
             low = bits & -bits
             draws[low.bit_length() - 1] += entry
             bits ^= low
-    free = full & ~constrained
-    fresh = k - used  # brand-new colors still available
+    free = ((1 << max(k, 0)) - 1) & ~constrained  # _search may pass k < 0
     nodes = meter.nodes
     stop = meter.limit
-    # one frame per pick depth: old colors left to try, the mask, blocked
+    # one frame per pick depth: colors left to try, the mask, blocked
     # colors and summed allowance on entry, and the floor's next color if
     # the frame is tight (else 0); a pick derives its child's from these,
     # so backtracking restores nothing
@@ -369,7 +369,7 @@ def _candidate_sets(
     depth = lo = mask = edge = 0
     tight = floor != 0
     while True:
-        # enter a node: depth colors picked in mask, old colors >= lo left
+        # enter a node: depth colors picked in mask, colors >= lo left
         nodes += 1
         if nodes > stop:
             stop = meter.overrun(nodes)
@@ -379,9 +379,9 @@ def _candidate_sets(
             lo = edge.bit_length() - 1
         slots = t - depth
         end = k - slots + 1
-        short = slots - fresh - allowance  # unconstrained colors still needed
+        short = slots - allowance  # unconstrained colors still needed
         if short > 0:
-            # old colors end after the short-th highest unconstrained one
+            # colors end after the short-th highest unconstrained one
             top_free = free
             while short > 1 and top_free:
                 top_free ^= 1 << (top_free.bit_length() - 1)
@@ -389,9 +389,8 @@ def _candidate_sets(
             if top_free.bit_length() < end:
                 end = top_free.bit_length()
         if lo < end:
-            top = end if end < used else used
-            cand = ((1 << top) - 1) >> lo << lo & ~blocked & (starts | mask << 1)
-            if slots == 1:  # every old candidate completes the set
+            cand = ((1 << end) - 1) >> lo << lo & ~blocked & (starts | mask << 1)
+            if slots == 1:  # every candidate completes the set
                 while cand:
                     low = cand & -cand
                     cand ^= low
@@ -427,21 +426,6 @@ def _candidate_sets(
                 lo = c + 1
                 depth += 1
                 break
-            # old colors done: the forced run of new colors used, used+1, ...
-            if fresh > 0:
-                slots = t - depth
-                if fresh >= slots:
-                    nodes += slots
-                    if nodes > stop:
-                        stop = meter.overrun(nodes)
-                    meter.nodes = nodes
-                    yield mask_at[depth] | ((1 << slots) - 1) << used
-                    nodes = meter.nodes
-                    stop = meter.limit
-                else:  # the run stops at its first pick
-                    nodes += 1
-                    if nodes > stop:
-                        stop = meter.overrun(nodes)
             depth -= 1
         else:
             meter.nodes = nodes
@@ -476,15 +460,14 @@ def _search(
             if stream is None:
                 constraints = [(assign[j], limit) for j, limit in partners[pos]]
                 # colors introduced through this position must leave room for
-                # the fresh colors the remaining positions are guaranteed to need
+                # the fresh colors the remaining positions are guaranteed to
+                # need; k_eff never falls along the order, so every earlier
+                # set lies below it
                 k_eff = k - suffix_fresh[pos + 1]
                 # a false twin's mask comes no earlier than the previous one's
                 twin = twin_prev[pos]
                 floor = assign[twin] if twin >= 0 else 0
-                starts = starts_at[pos]
-                # the highest class start is the first unused color
-                used = starts.bit_length() - 1
-                stream = _candidate_sets(k_eff, t, used, constraints, meter, floor, starts)
+                stream = _candidate_sets(k_eff, t, constraints, meter, floor, starts_at[pos])
                 streams[pos] = stream
             mask = next(stream, 0)
             if not mask:
@@ -610,9 +593,9 @@ def _greedy(graph: Graph, prep: _Prepared, t: int, cap: int) -> Optional[ToneCol
     meter = _Meter()  # no budget: the greedy pass only counts its nodes
     for i, plist in enumerate(prep.partners):
         constraints = [(assign[j], limit) for j, limit in plist]
-        # used=cap and the default starts (one class per color) disable
-        # the color symmetry rules: plain lex search.
-        mask = next(_candidate_sets(cap, t, cap, constraints, meter), None)
+        # the default starts (one class per color) disable the color
+        # symmetry rule: plain lex search.
+        mask = next(_candidate_sets(cap, t, constraints, meter), None)
         if mask is None:
             return None
         assign[i] = mask

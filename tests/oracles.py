@@ -423,8 +423,9 @@ def counted_candidate_sets(
 
     The picks form a depth-first search, run on an explicit stack. One
     node is one entry into it: the empty pick, each old-color pick that
-    passes its constraint check, and each pick in the run of brand-new
-    colors. ``meter``, a solver `_Meter`, counts nodes and enforces the
+    passes its constraint check, and each pick in a run of brand-new
+    colors that completes the set; a run too short to complete costs
+    nothing. ``meter``, a solver `_Meter`, counts nodes and enforces the
     budget.
     """
     full = (1 << used) - 1
@@ -518,21 +519,17 @@ def counted_candidate_sets(
                 mask = mask_at[depth] | low
                 depth += 1
                 break
-            # old colors done: the forced run of new colors used, used+1, ...
-            if fresh > 0:
-                slots = t - depth
-                if fresh >= slots:
-                    nodes += slots
-                    if nodes > stop:
-                        stop = meter.overrun(nodes)
-                    meter.nodes = nodes
-                    yield mask_at[depth] | ((1 << slots) - 1) << used
-                    nodes = meter.nodes
-                    stop = meter.limit
-                else:  # the run stops at its first pick
-                    nodes += 1
-                    if nodes > stop:
-                        stop = meter.overrun(nodes)
+            # old colors done: the forced run of new colors used, used+1,
+            # ..., entered only when it completes the set
+            slots = t - depth
+            if fresh >= slots:
+                nodes += slots
+                if nodes > stop:
+                    stop = meter.overrun(nodes)
+                meter.nodes = nodes
+                yield mask_at[depth] | ((1 << slots) - 1) << used
+                nodes = meter.nodes
+                stop = meter.limit
             depth -= 1
         else:
             meter.nodes = nodes

@@ -827,6 +827,7 @@ def test_malformed_input_exits_2(tmp_path):
         ["solve", "--family", "path", "3", "--t", "2", "--budget-nodes", "-1"],
         ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "-5"],
         ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "nan"],
+        ["solve", "--family", "path", "3", "--t", "2", "--budget-ms", "inf"],
         ["solve", "--family", "path", "6", "7", "--t", "2"],
         ["bound", "--family", "star", "3", "junk", "--t", "2"],
         ["bound", "--family", "tree", "3", "--t", "2"],

@@ -41,6 +41,14 @@ def test_budget_requires_a_cap():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=None, max_millis=None)
     SearchBudget(max_nodes=None, max_millis=100.0)
+    # caps that cannot hold: a negative node cap would report negative
+    # nodes, a NaN deadline never fires and an infinite one sets no cap
+    for nodes, millis in ((-5, None), (-1, 10.0), (None, -5.0), (None, float("nan")),
+                          (None, float("inf")), (100, float("nan"))):
+        with pytest.raises(ValueError, match="must be"):
+            SearchBudget(max_nodes=nodes, max_millis=millis)
+    zero = SearchBudget(max_nodes=0, max_millis=0.0)
+    assert feasible(build_star(3), 5, 17, zero).status == TIMEOUT
 
 
 def test_search_order_prefers_high_degree():
@@ -341,7 +349,9 @@ def test_candidate_generator_completeness():
     This pins the symmetry breaking: the canonical assignments it admits
     are exactly {new colors consecutive from `used`} and nothing else,
     and with class starts, also each old color a class start or the
-    successor of a picked color.
+    successor of a picked color. `used` is expressed through `starts` as
+    the search does: bit `used` starts the class of unused colors, and no
+    higher bit is set.
     """
     from itertools import combinations
 
@@ -375,8 +385,8 @@ def test_candidate_generator_completeness():
         def prefixes(subset, starts):
             return all(c >= used or starts >> c & 1 or c - 1 in subset for c in subset)
 
-        for starts in (-1, 1 | class_rng.getrandbits(used)):
-            got = list(_candidate_sets(k, t, used, list(constraints), _Meter(), 0, starts))
+        for starts in ((2 << used) - 1, 1 | class_rng.getrandbits(used) | 1 << used):
+            got = list(_candidate_sets(k, t, list(constraints), _Meter(), 0, starts))
             expect = [
                 sum(1 << c for c in subset)
                 for subset in combinations(range(k), t)
@@ -398,7 +408,8 @@ def test_candidate_generator_floor_cuts_only_earlier_masks():
 
     def run(k, t, used, constraints, floor):
         meter = _Meter()
-        masks = list(_candidate_sets(k, t, used, list(constraints), meter, floor))
+        starts = (2 << used) - 1  # each old color its own class, then the unused
+        masks = list(_candidate_sets(k, t, list(constraints), meter, floor, starts))
         return masks, meter.nodes
 
     rng = random.Random(32)
@@ -432,8 +443,9 @@ def test_twin_floor_admits_equal_sets():
     assert out.value == 2 == brute_force_tau(s2, 1, 3)
     assert out.witness.assignment[1] == out.witness.assignment[2]
     assert feasible(s2, 1, 2).status == FEASIBLE
-    # the second leaf, beside the center {0} and the first leaf {1}
-    assert list(_candidate_sets(2, 1, 2, [(0b01, 0), (0b10, 1)], _Meter(), 0b10)) == [0b10]
+    # the second leaf, beside the center {0} and the first leaf {1}; both
+    # colors are in use, so the default starts (one class per color) hold
+    assert list(_candidate_sets(2, 1, [(0b01, 0), (0b10, 1)], _Meter(), 0b10)) == [0b10]
 
 
 def test_tau_exact_matches_brute_force_on_trees_and_twins():
@@ -510,11 +522,11 @@ def test_candidate_generator_matches_counted_reference():
     from oracles import counted_candidate_sets
     from tonelab.solver import _BudgetExhausted, _candidate_sets, _Meter
 
-    def run(generate, k, t, used, constraints, cap):
+    def run(generate, cap):
         meter = _Meter(SearchBudget(max_nodes=cap))
         trail = []
         try:
-            for mask in generate(k, t, used, list(constraints), meter):
+            for mask in generate(meter):
                 trail.append((mask, meter.nodes))
         except _BudgetExhausted:
             assert meter.nodes == cap + 1
@@ -535,10 +547,18 @@ def test_candidate_generator_matches_counted_reference():
             for c in rng.sample(range(used), rng.randrange(0, used + 1)):
                 mask |= 1 << c
             constraints.append((mask, rng.randrange(0, t + 1)))
-        total = run(counted_candidate_sets, k, t, used, constraints, 10**9)[-1][1]
+
+        def reference(meter):
+            return counted_candidate_sets(k, t, used, list(constraints), meter)
+
+        def generator(meter):
+            # bit `used` starts the class of unused colors
+            return _candidate_sets(k, t, list(constraints), meter, 0, (2 << used) - 1)
+
+        total = run(reference, 10**9)[-1][1]
         cap = rng.randrange(0, 2 * total + 2)
-        expect = run(counted_candidate_sets, k, t, used, constraints, cap)
-        got = run(_candidate_sets, k, t, used, constraints, cap)
+        expect = run(reference, cap)
+        got = run(generator, cap)
         assert got == expect, (k, t, used, constraints, cap)
         stops += expect[-1][0] == "exhausted"
     assert 100 < stops < 500
@@ -567,10 +587,10 @@ def test_exact_node_counts_are_pinned():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     res = feasible(s3_plus_2, 5, 17)
     assert res.status == INFEASIBLE
-    assert res.stats.nodes == 68
+    assert res.stats.nodes == 64
     out = tau_exact(build_star(9), 3)  # nine twin leaves
     assert (out.status, out.value) == (EXACT, 12)
-    assert out.stats.nodes == 2_424
+    assert out.stats.nodes == 2_299
     g = build_gnp(60, 0.05, 1)
     res = feasible(g, 2, 7)
     assert res.status == FEASIBLE
@@ -578,7 +598,7 @@ def test_exact_node_counts_are_pinned():
     assert verify(g, res.witness).valid
     out = tau_exact(g, 2, SearchBudget(max_nodes=100_000))
     assert (out.status, out.value) == (EXACT, 7)  # k = 6 refuted, 7 found
-    assert out.stats.nodes == 14_074
+    assert out.stats.nodes == 14_072
 
 
 def test_wall_clock_budget_bounds_elapsed_time():
@@ -595,16 +615,16 @@ def test_tau_exact_counts_every_palette_size_on_one_budget():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     out = tau_exact(s3_plus_2, 5)
     assert out.status == EXACT and out.value == 18
-    assert out.stats.nodes == 1 + 68 + 42  # k = 16, 17 refuted; 18 found
+    assert out.stats.nodes == 1 + 64 + 42  # k = 16, 17 refuted; 18 found
     star5 = build_star(5)
     out = tau_exact(star5, 3)
     assert out.status == EXACT and out.value == 10
-    assert out.stats.nodes == 68
-    # k = 9 is refuted in exactly 37 nodes: the spent cap stops the run
+    assert out.stats.nodes == 64
+    # k = 9 is refuted in exactly 33 nodes: the spent cap stops the run
     # before k = 10, so the count does not read one past the cap, and the
     # greedy heuristic closes the bracket at 10 without adding a node
-    out = tau_exact(star5, 3, SearchBudget(max_nodes=37))
-    assert (out.status, out.value, out.stats.nodes) == (EXACT, 10, 37)
+    out = tau_exact(star5, 3, SearchBudget(max_nodes=33))
+    assert (out.status, out.value, out.stats.nodes) == (EXACT, 10, 33)
     out = tau_exact(build_path(6), 4, SearchBudget(max_nodes=2))
     assert (out.status, out.value, out.stats.nodes) == (EXACT, 12, 2)
 
@@ -668,8 +688,20 @@ def test_feasible_on_the_empty_graph():
     assert verify(Graph(0), res.witness).valid
 
 
+def test_fresh_color_floor_can_leave_a_negative_palette():
+    """K_3 at t = 2 with 2 colors: the two later vertices need 4 fresh
+    colors, so position 0 gets k - suffix_fresh[1] = -2 colors and the
+    search refutes it on entering its first candidate stream."""
+    from tonelab.solver import _prepare
+
+    k3 = build_complete(3)
+    assert 2 - _prepare(k3, 2).suffix_fresh[1] == -2
+    res = feasible(k3, 2, 2)
+    assert (res.status, res.witness, res.stats.nodes) == (INFEASIBLE, None, 1)
+
+
 def test_tau_exact_wall_clock_budget_spans_palette_sizes():
-    # the cube of P_4 at t = 3: k = 10 is refuted in 178 nodes; k = 11 is
+    # the cube of P_4 at t = 3: k = 10 is refuted in 176 nodes; k = 11 is
     # open at three million nodes, far more than 20 ms, so the shared
     # deadline falls inside it
     p4_cubed = cartesian_power(build_path(4), 3)
@@ -677,5 +709,5 @@ def test_tau_exact_wall_clock_budget_spans_palette_sizes():
     out = tau_exact(p4_cubed, 3, SearchBudget(max_nodes=None, max_millis=budget_ms))
     assert out.status == TIMEOUT and out.best_lower == 11
     assert out.witness == greedy_heuristic_climb(p4_cubed, 3)
-    assert out.stats.nodes >= 178
+    assert out.stats.nodes >= 176
     assert out.stats.elapsed_ms < budget_ms + 2_000  # fixed slack for a loaded machine
