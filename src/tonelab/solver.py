@@ -66,6 +66,39 @@ no rule cuts it, and the search, which tries sets in this order, meets
 it first: the first solution found is the lex-least valid coloring,
 whichever of these rules are in force.
 
+Backjumping (Prosser, "Hybrid algorithms for the constraint satisfaction
+problem", Comput. Intell. 9, 1993; the graph-based form is Dechter's,
+Artif. Intell. 41, 1990). Call a coloring admissible when it is the x of
+its orbit. Each open candidate stream keeps a conflict set, earlier
+positions such that no admissible coloring agrees with the current sets
+there and takes one of the stream's sets tried so far. When the stream
+runs dry, the search adds its culprits, positions such that no
+admissible coloring agrees with the current sets there and takes a set
+the stream never yields; then no admissible coloring agrees with the
+current sets on the result cs at all. An empty cs therefore proves
+Infeasible; otherwise the search jumps to the latest position q of cs
+and adds cs without q to q's set. Every subtree the jump skips agrees
+with the current sets up to q, so it holds no admissible coloring, and
+the addition makes the set now at q one of q's sets tried. The culprits
+are the position's neighbors (its partners at distance 1), its previous
+twin, and each partner at distance d >= 2 whose set keeps more than
+d - 1 colors that no neighbor holds. An admissible coloring that agrees
+with them there obeys the twin floor and the fresh-color floor and is
+valid against them. It is valid against the other partners too: such a
+partner keeps at most d - 1 colors that no neighbor holds, and a set
+valid against the neighbors shares no other color with it. So it is one
+of the stream's sets, as long as the class rule cuts nothing. The class
+rule reads every earlier set, so while it can cut (some class holds two
+colors below the stream's palette), the culprits are every earlier
+position, and the stream backs up one position, as a plain chronological
+search does. Any further symmetry rule, such as breaking graph
+automorphisms, must name the positions its cut reads as culprits, or
+fall back to every earlier position in the same way. The search still
+visits the candidates of each stream in order, and it skips only
+subtrees without an admissible coloring, so it meets the same first
+solution, in at most as many nodes; the node definition below is
+unchanged.
+
 The twin floor is not strict: twins at distance 2 may share one color, so
 at t = 1 they may carry the same set (tau_1 of S_2 is 2 only because
 its two leaves share a color), and twins without neighbors may share any
@@ -201,11 +234,12 @@ class _Prepared(NamedTuple):
     partners: list[list[tuple[int, int]]]
     suffix_fresh: list[int]
     twin_prev: list[int]
+    culprits: list[int]
 
 
 def _prepare(graph: Graph, t: int) -> _Prepared:
-    """Search order, per-position constraint lists, fresh-color floor and
-    previous false twins.
+    """Search order, per-position constraint lists, fresh-color floor,
+    previous false twins and dead-end culprits.
 
     One pass over search_order reads each distance-t ball once: the ball
     of the vertex at position i gives partners[i], the (earlier position,
@@ -218,6 +252,12 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     colors than k - suffix_fresh[i+1] admits is therefore a dead end.
     twin_prev[i] is the latest earlier position whose vertex has the same
     neighborhood (a false twin), or -1.
+    culprits[i] is the bitmask of the culprits of position i that do not
+    depend on the placed sets (see the module docstring): its partners at
+    distance 1, and twin_prev[i]. A full list holds about n^2/2 bits, so
+    it starts empty and _search appends each position's mask when it first
+    reaches it; a greedy pass never builds one. A prepared search with
+    partners or twin_prev replaced therefore needs culprits=[] too.
     """
     n = graph.n
     order: list[int] = []
@@ -243,7 +283,7 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     for i, v in enumerate(order):
         twin_prev.append(last_with.get(adjacency[v], -1))
         last_with[adjacency[v]] = i
-    return _Prepared(order, partners, suffix_fresh, twin_prev)
+    return _Prepared(order, partners, suffix_fresh, twin_prev, [])
 
 
 class _Meter:
@@ -446,10 +486,17 @@ def _search(
     by n and not by Python's recursion limit. Each placement is one node,
     counted on ``meter`` on top of what it already holds. Returns the
     status; on FEASIBLE, ``assign`` holds the assignment.
+
+    A stream that runs dry jumps back to the latest position of its
+    conflict set (Prosser's conflict-directed backjumping): the positions
+    that the dead ends below it jumped back to it for, and its culprits,
+    the positions whose sets decided its candidates, read when it runs
+    dry. See the module docstring.
     """
-    _, partners, suffix_fresh, twin_prev = prep
+    _, partners, suffix_fresh, twin_prev, culprits = prep
     n = len(partners)
     streams = [None] * n
+    conflicts = [0] * n  # earlier positions that dead ends traced here
     # class starts of the colors after each position: bit c is set when
     # some placed set holds exactly one of c - 1 and c (bit 0 always)
     starts_at = [1] * (n + 1)
@@ -469,11 +516,37 @@ def _search(
                 floor = assign[twin] if twin >= 0 else 0
                 stream = _candidate_sets(k_eff, t, constraints, meter, floor, starts_at[pos])
                 streams[pos] = stream
+                conflicts[pos] = 0
+                if pos == len(culprits):  # first visit (see _prepare)
+                    culprit = 1 << twin if twin >= 0 else 0
+                    for j, limit in partners[pos]:
+                        if not limit:
+                            culprit |= 1 << j
+                    culprits.append(culprit)
             mask = next(stream, 0)
             if not mask:
-                if pos == 0:
+                cs = conflicts[pos]
+                k_eff = k - suffix_fresh[pos + 1]
+                if k_eff > 0 and ~starts_at[pos] & ((1 << k_eff) - 1):
+                    # the class rule reads every earlier set, unless each
+                    # color is a class of its own and it cuts nothing
+                    cs |= (1 << pos) - 1
+                else:
+                    # a partner within distance 2..t is a culprit only if
+                    # the colors no neighbor holds leave it more than its
+                    # limit to share
+                    cs |= culprits[pos]
+                    adjacent = 0
+                    for j, limit in partners[pos]:
+                        if not limit:
+                            adjacent |= assign[j]
+                    for j, limit in partners[pos]:
+                        if limit and (assign[j] & ~adjacent).bit_count() > limit:
+                            cs |= 1 << j
+                if not cs:
                     return INFEASIBLE
-                pos -= 1
+                pos = cs.bit_length() - 1
+                conflicts[pos] |= cs ^ (1 << pos)
                 stream = streams[pos]
                 continue
             nodes = meter.nodes + 1

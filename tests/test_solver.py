@@ -495,10 +495,99 @@ def test_twin_floor_agrees_with_the_search_without_it():
         t = rng.randrange(1, 4)
         prep = _prepare(g, t)
         value, nodes = solve(g, t, prep)
-        plain_value, plain_nodes = solve(g, t, prep._replace(twin_prev=[-1] * g.n))
+        plain = prep._replace(twin_prev=[-1] * g.n, culprits=[])  # culprits read twin_prev
+        plain_value, plain_nodes = solve(g, t, plain)
         assert value == plain_value and nodes <= plain_nodes, (sorted(g.edges), t)
         fewer += nodes < plain_nodes
     assert fewer >= 30
+
+
+def _every_partner_a_culprit(prep):
+    """prep with every partner and the previous twin a culprit of each
+    position, whatever the sets placed."""
+    masks = []
+    for plist, twin in zip(prep.partners, prep.twin_prev):
+        mask = 1 << twin if twin >= 0 else 0
+        for j, _ in plist:
+            mask |= 1 << j
+        masks.append(mask)
+    return prep._replace(culprits=masks)
+
+
+def test_backjumping_agrees_with_chronological_backtracking():
+    """The same prepared search with every earlier position a culprit backs
+    up one position at a time. Under one node cap per solve, it decides
+    nothing that backjumping does not decide alike, with the same witness,
+    and it never spends fewer nodes. Neither does backjumping with every
+    partner a culprit, the far ones that cut nothing too."""
+    from tonelab.solver import _decide, _Meter, _prepare
+
+    def solve(graph, t, prep):
+        """The first verdict other than infeasible, its palette size, its
+        witness and the nodes spent."""
+        meter = _Meter(SearchBudget(max_nodes=10_000))
+        k = starting_lower_bound(graph, t)
+        while True:
+            status, witness = _decide(graph, prep, t, k, meter)
+            if status != INFEASIBLE:
+                return status, k, witness, meter.nodes
+            k += 1
+
+    rng = random.Random(1993)
+    fewer = fewer_than_every = 0
+    for trial in range(240):
+        if trial % 4 == 0:
+            g = random_tree(rng, rng.randrange(5, 40))
+            t = rng.randrange(1, 4)
+        elif trial % 4 == 1:
+            base = random_graph(rng, rng.randrange(2, 10), rng.uniform(0.1, 0.6))
+            g = plant_twins(rng, base, rng.randrange(1, 4))
+            t = rng.randrange(1, 4)
+        else:  # sparse G(n, c/n)
+            n = rng.randrange(25, 91)
+            g = random_graph(rng, n, rng.uniform(1.0, 3.0) / n)
+            t = rng.randrange(2, 4)
+        prep = _prepare(g, t)
+        *verdict, nodes = solve(g, t, prep)
+        chronological = prep._replace(culprits=[(1 << i) - 1 for i in range(g.n)])
+        *plain, plain_nodes = solve(g, t, chronological)
+        *coarse, coarse_nodes = solve(g, t, _every_partner_a_culprit(prep))
+        assert nodes <= coarse_nodes <= plain_nodes, (sorted(g.edges), t)
+        for other in (plain, coarse):
+            if other[0] == TIMEOUT:  # backjumping gets at least as far
+                assert verdict[1] >= other[1], (sorted(g.edges), t)
+            else:
+                assert verdict == other, (sorted(g.edges), t)
+        fewer += nodes < plain_nodes
+        fewer_than_every += nodes < coarse_nodes
+    assert fewer >= 12
+    assert fewer_than_every >= 20
+
+
+def test_backjumping_decides_the_sparse_instance_chronological_search_cannot():
+    """tau_2 of G(300, 0.01) seed 1 is 7; backtracking one position at a
+    time runs past three million nodes at k = 7 without a verdict."""
+    g = build_gnp(300, 0.01, 1)
+    out = tau_exact(g, 2, SearchBudget(max_nodes=2_000))
+    assert (out.status, out.value) == (EXACT, 7)
+    assert out.stats.nodes <= 2_000
+    assert verify(g, out.witness).valid and colors_used(out.witness) == 7
+
+
+def test_far_partners_that_cut_nothing_are_not_culprits():
+    """tau_2 of G(300, 0.01) seed 53 is 7. With every partner a culprit,
+    the search spends 25,000 nodes at k = 7 without a verdict; counting a
+    distance-2 partner only when its set avoids every neighbor's colors
+    decides it in under 2,000."""
+    from tonelab.solver import _decide, _Meter, _prepare
+
+    g = build_gnp(300, 0.01, 53)
+    out = tau_exact(g, 2, SearchBudget(max_nodes=2_000))
+    assert (out.status, out.value) == (EXACT, 7)
+    assert verify(g, out.witness).valid and colors_used(out.witness) == 7
+    coarse = _every_partner_a_culprit(_prepare(g, 2))
+    status, _ = _decide(g, coarse, 2, 7, _Meter(SearchBudget(max_nodes=25_000)))
+    assert status == TIMEOUT
 
 
 def test_prepare_links_each_false_twin_to_the_previous_one():
@@ -598,7 +687,7 @@ def test_exact_node_counts_are_pinned():
     assert verify(g, res.witness).valid
     out = tau_exact(g, 2, SearchBudget(max_nodes=100_000))
     assert (out.status, out.value) == (EXACT, 7)  # k = 6 refuted, 7 found
-    assert out.stats.nodes == 14_072
+    assert out.stats.nodes == 11_170
 
 
 def test_wall_clock_budget_bounds_elapsed_time():
@@ -701,8 +790,8 @@ def test_fresh_color_floor_can_leave_a_negative_palette():
 
 
 def test_tau_exact_wall_clock_budget_spans_palette_sizes():
-    # the cube of P_4 at t = 3: k = 10 is refuted in 176 nodes; k = 11 is
-    # open at three million nodes, far more than 20 ms, so the shared
+    # the cube of P_4 at t = 3: k = 10 is refuted in 176 nodes; k = 11
+    # takes 323,180 more, far more than 20 ms allows, so the shared
     # deadline falls inside it
     p4_cubed = cartesian_power(build_path(4), 3)
     budget_ms = 20.0
