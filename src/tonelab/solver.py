@@ -113,10 +113,20 @@ node budget: each entry into a position's candidate search (see
 _candidate_sets) is one node, and each placement of a candidate set is one
 more.
 
-tau_exact runs the decision search for each palette size from the lower
-bound up on one prepared search, under one node cap and one deadline.
-When the budget stops it first, the greedy heuristic (_greedy) colors
-the graph on the same prepared search and gives the bracket's upper end.
+tau_exact first runs the greedy heuristic (_greedy) once at the starting
+lower bound k, on the same prepared search: at each position it picks
+the least set, in the same mask order, that is valid against the earlier
+sets, with no symmetry rule. A pass that completes is the lex-least valid
+k-coloring: each of its picks extends to a full coloring, its own, and a
+valid coloring y that first differs from it at position i holds there a
+set valid against the same earlier sets, so no less than the pass's
+pick, hence greater, and y comes after the pass. The lex-least valid
+coloring is the search's first solution (see above), so tau_exact returns
+the pass as exact k without a search node, and its witness is the one
+the search would find. Otherwise it runs the decision search for each
+palette size from k up on one prepared search, under one node cap and
+one deadline. When the budget stops it first, the greedy climbs from the
+first palette size not refuted and gives the bracket's upper end.
 """
 
 from __future__ import annotations
@@ -683,7 +693,10 @@ def tau_exact(
     """Compute the t-tone chromatic number by incrementing k from the best
     closed-form lower bound until the decision search finds a coloring.
 
-    The search is prepared once, and one budget covers every palette size;
+    The search is prepared once. A greedy pass at the lower bound comes
+    first: when it colors the graph, its coloring is the search's first
+    solution there (see the module docstring), so the outcome is exact
+    with no search node. Otherwise one budget covers every palette size;
     a palette size starts only while some of it is left. Exact outcomes
     carry the witness; the infeasibility of value-1 is either
     search-proved (when the loop visited it) or implied by the starting
@@ -698,6 +711,9 @@ def tau_exact(
     meter = _Meter(budget or SearchBudget())
     k = starting_lower_bound(graph, t)
     prep = _prepare(graph, t)
+    witness = _greedy(graph, prep, t, k)
+    if witness is not None:  # the search's first solution at k, found unsearched
+        return SolveOutcome(EXACT, k, k, k, witness, meter.stats())
     while not meter.spent():
         status, witness = _decide(graph, prep, t, k, meter)
         if status == FEASIBLE:

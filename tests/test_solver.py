@@ -590,6 +590,40 @@ def test_far_partners_that_cut_nothing_are_not_culprits():
     assert status == TIMEOUT
 
 
+def test_a_completed_greedy_pass_is_the_searchs_first_solution():
+    """A greedy pass that completes at cap k picks, at each position, the
+    least set valid against the earlier ones, and each pick extends to a
+    full coloring, so the pass is the lex-least valid k-coloring: the
+    search's first solution at k. So tau_exact returns it at the starting
+    bound without searching."""
+    from tonelab.solver import _climb, _decide, _greedy, _Meter, _prepare
+
+    rng = random.Random(1979)
+    agreed = at_start = 0
+    for trial in range(400):
+        n = rng.randrange(2, 15)
+        t = rng.randrange(1, 5)
+        if trial % 2:
+            g = random_tree(rng, n)
+        else:
+            g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+        prep = _prepare(g, t)
+        start = starting_lower_bound(g, t)
+        for k in range(start, _climb(g, prep, t, start).palette_size + 3):
+            greedy = _greedy(g, prep, t, k)
+            if greedy is None:
+                continue
+            status, witness = _decide(g, prep, t, k, _Meter(SearchBudget(max_nodes=100_000)))
+            assert (status, witness) == (FEASIBLE, greedy), (sorted(g.edges), t, k)
+            agreed += 1
+            if k == start:
+                out = tau_exact(g, t)
+                assert (out.status, out.value, out.witness) == (EXACT, k, greedy)
+                assert out.stats.nodes == 0
+                at_start += 1
+    assert agreed >= 1000 and at_start >= 200
+
+
 def test_prepare_links_each_false_twin_to_the_previous_one():
     from tonelab.solver import _prepare
 
@@ -688,6 +722,12 @@ def test_exact_node_counts_are_pinned():
     out = tau_exact(g, 2, SearchBudget(max_nodes=100_000))
     assert (out.status, out.value) == (EXACT, 7)  # k = 6 refuted, 7 found
     assert out.stats.nodes == 11_170
+    # the greedy pass at the starting bound 7 colors it, so no search runs;
+    # one descent of the search would take about 4 nodes per vertex
+    g = build_gnp(1250, 0.0016, 1)
+    out = tau_exact(g, 2, SearchBudget(max_nodes=2_000))
+    assert (out.status, out.value, out.stats.nodes) == (EXACT, 7, 0)
+    assert verify(g, out.witness).valid and colors_used(out.witness) == 7
 
 
 def test_wall_clock_budget_bounds_elapsed_time():
