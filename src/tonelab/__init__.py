@@ -44,6 +44,7 @@ from .graphs import (
     cartesian_power,
     cartesian_product,
     distance_ball,
+    distance_levels,
     format_graph,
     load_graph,
     parse_graph,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Graph, connected_components, distance_ball
+from .graphs import Graph, connected_components, distance_levels
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,11 @@ def distance_deficiency(graph: Graph) -> tuple[int, int]:
     n = graph.n
     total = 0
     diameter = 0
-    for u in range(n):
-        ball = distance_ball(graph, u, max(1, n))
-        if len(ball) < n:
+    for _, levels in distance_levels(graph, range(n), n):
+        if sum(map(len, levels)) < n:
             raise ValueError("graph is disconnected; diameter undefined")
-        total += sum(ball.values()) - (n - 1)
-        diameter = max(diameter, max(ball.values()))
+        total += sum(d * len(level) for d, level in enumerate(levels)) - (n - 1)
+        diameter = max(diameter, len(levels) - 1)
     return total // 2, diameter  # each pair was counted from both ends
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .graphs import Graph, distance_ball
+from .graphs import Graph, distance_levels
 
 
 @dataclass(eq=False)
@@ -85,23 +85,27 @@ def colors_used(coloring: ToneColoring) -> int:
 
 
 def verify(graph: Graph, coloring: ToneColoring) -> VerificationReport:
-    """Check every pair within distance t; report all violations sorted by (u, v)."""
+    """Check every pair within distance t; report all violations sorted by (u, v).
+
+    One distance_levels sweep with cap t visits each vertex's distance-t
+    ball level by level, so the distance of a pair is its level index.
+    """
     if coloring.n != graph.n:
         raise ValueError(
             f"coloring covers {coloring.n} vertices, graph has {graph.n}"
         )
-    t = coloring.t
     masks = coloring.masks
     violations = []
-    for u in range(graph.n):
+    for u, levels in distance_levels(graph, range(graph.n), coloring.t):
         mu = masks[u]
         row = []
-        for v, d in distance_ball(graph, u, t).items():
-            if v > u:
-                shared = (mu & masks[v]).bit_count()
-                if shared >= d:
-                    row.append((u, v, d, shared))
-        violations.extend(sorted(row))  # ball order is discovery order
+        for d in range(1, len(levels)):
+            for v in levels[d]:
+                if v > u:
+                    shared = (mu & masks[v]).bit_count()
+                    if shared >= d:
+                        row.append((u, v, d, shared))
+        violations.extend(sorted(row))  # levels are in discovery order
     return VerificationReport(
         valid=not violations,
         violations=tuple(violations),

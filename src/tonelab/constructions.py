@@ -27,7 +27,7 @@ from .graphs import (
     build_star,
     build_truncated_regular_tree,
     cartesian_power,
-    distance_ball,
+    distance_levels,
 )
 from .mols import MolsFamily
 from .solver import SearchBudget, tau_exact
@@ -49,16 +49,15 @@ def greedy_large_t_coloring(graph: Graph, t: int) -> ToneColoring:
     unique_of: list[list[int]] = []
     rows: list[list[int]] = []
     next_fresh = 0
-    for v in range(graph.n):
-        ball = distance_ball(graph, v, max(1, graph.n))
+    for v, levels in distance_levels(graph, range(graph.n), graph.n):
         reused: list[int] = []
-        for w in range(v):
-            need = ball[w] - 1
-            if need > 0:
-                if len(unique_of[w]) < need:
-                    raise AssertionError("ran out of private colors")
-                reused.extend(unique_of[w][:need])
-                del unique_of[w][:need]
+        for need, level in enumerate(levels[2:], 1):  # need = d - 1 > 0
+            for w in level:
+                if w < v:
+                    if len(unique_of[w]) < need:
+                        raise AssertionError("ran out of private colors")
+                    reused.extend(unique_of[w][:need])
+                    del unique_of[w][:need]
         fresh = list(range(next_fresh, next_fresh + t - len(reused)))
         next_fresh += len(fresh)
         unique_of.append(fresh)
@@ -122,11 +121,12 @@ def two_tone_via_decomposition(
     # same-class vertices are never adjacent, so a same-class member of
     # a distance-2 ball other than v itself sits at distance exactly 2
     class_edges: list[list[tuple[int, int]]] = [[] for _ in range(khat)]
-    for v in range(graph.n):
+    for v, levels in distance_levels(graph, range(graph.n), 2):
         i = proper[v]
-        for w in distance_ball(graph, v, 2):
-            if w > v and proper[w] == i:
-                class_edges[i].append((local[v], local[w]))
+        for level in levels[1:]:
+            for w in level:
+                if w > v and proper[w] == i:
+                    class_edges[i].append((local[v], local[w]))
     rows: list[Optional[list[int]]] = [None] * graph.n
     pair_classes = []
     base = 0

@@ -5,11 +5,12 @@ canonical numbering so that witnesses and certificates are reproducible:
 paths in path order, star head at 0, multipartite parts contiguous,
 products in row-major coordinate order, trees in BFS level order.
 
-Every breadth-first search in the package is a distance_ball: one BFS
-from one vertex cut at a depth cap. A t-tone constraint is vacuous past
-distance t, so every distance consumer walks the distance-t ball of each
-vertex and nothing ever holds all n^2 distances at once. Components and
-connectivity read uncapped balls (cap n).
+Every breadth-first search in the package is one distance_levels sweep:
+one BFS per source, cut at a depth cap, all of them sharing one stamped
+visited list. A t-tone constraint is vacuous past distance t, so every
+distance consumer sweeps the distance-t balls of the vertices and nothing
+ever holds all n^2 distances at once. Components and connectivity read
+uncapped balls (cap n); distance_ball is a one-source dict view.
 
 Graph is immutable after construction and safe to share.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,44 +89,77 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def distance_ball(graph: Graph, src: int, cap: int) -> dict[int, int]:
-    """Distances from ``src`` to every vertex within ``cap`` of it.
+def distance_levels(
+    graph: Graph, sources: Iterable[int], cap: int
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """Yield ``(src, levels)`` per source: levels[d] lists the vertices at
+    distance d from src, for d up to ``cap``.
 
-    One breadth-first search cut at depth ``cap``. Keys come in discovery
-    order (level by level, neighbors ascending), starting with ``src`` at
-    distance 0; vertices farther than ``cap``, or in another component,
-    are absent. Memory is the size of the ball, never n squared. The
-    search stops as soon as the ball holds every vertex, since no further
-    level could add a key.
+    One breadth-first search per source, cut at depth ``cap``. Each level
+    is in discovery order (its parents in the previous level's order,
+    each parent's neighbors ascending), levels[0] == [src], and no level
+    is empty; vertices farther than ``cap``, or in another component,
+    are absent. Sources are read lazily, one per ball, so a caller may
+    pick the next source from the balls it has seen. All searches of one
+    sweep share a single visited list of n ints, stamped with the index
+    of the ball, so a ball builds no set or dict, and a source may repeat.
+    A search stops, even mid-level, as soon as its ball holds every
+    vertex, since nothing further could join it. A negative cap raises
+    ValueError on the first ball, a source outside 0..n-1 on its own.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     adj = graph.adjacency
-    ball = {src: 0}
-    frontier = [src]
-    for d in range(1, cap + 1):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in ball:
-                    ball[w] = d
-                    nxt.append(w)
-        if not nxt or len(ball) == graph.n:
-            break
-        frontier = nxt
-    return ball
+    n = graph.n
+    stamp = [-1] * n
+    for ball, src in enumerate(sources):
+        if not 0 <= src < n:  # a negative index would alias a vertex
+            raise ValueError(f"source {src} out of range for n={n}")
+        stamp[src] = ball
+        levels = [[src]]
+        frontier = levels[0]
+        missing = n - 1  # vertices not yet in the ball
+        for _ in range(cap):
+            if not missing:
+                break
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if stamp[w] != ball:
+                        stamp[w] = ball
+                        nxt.append(w)
+                if len(nxt) == missing:
+                    break
+            if not nxt:
+                break
+            levels.append(nxt)
+            missing -= len(nxt)
+            frontier = nxt
+        yield src, levels
+
+
+def distance_ball(graph: Graph, src: int, cap: int) -> dict[int, int]:
+    """Distances from ``src`` to every vertex within ``cap`` of it, keyed
+    in discovery order: one step of a distance_levels sweep as a dict."""
+    _, levels = next(distance_levels(graph, (src,), cap))
+    return {v: d for d, level in enumerate(levels) for v in level}
 
 
 def connected_components(graph: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * graph.n
+
+    def unseen() -> Iterator[int]:  # read after each component is marked
+        for s in range(graph.n):
+            if not seen[s]:
+                yield s
+
     comps = []
-    for s in range(graph.n):
-        if not seen[s]:
-            comp = sorted(distance_ball(graph, s, graph.n))
-            for v in comp:
-                seen[v] = True
-            comps.append(comp)
+    for _, levels in distance_levels(graph, unseen(), graph.n):
+        comp = sorted(v for level in levels for v in level)
+        for v in comp:
+            seen[v] = True
+        comps.append(comp)
     return comps
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, distance_ball
+from .graphs import Graph, distance_levels
 
 
 def encode_decision_cnf(graph: Graph, t: int, k: int) -> str:
@@ -37,10 +37,9 @@ def encode_decision_cnf(graph: Graph, t: int, k: int) -> str:
         # at most t colors: no t+1 variables all true
         for subset in combinations(range(k), t + 1):
             clauses.append(tuple(-var(v, c) for c in subset))
-    for u in range(n):
-        ball = distance_ball(graph, u, t)
-        for v in sorted(w for w in ball if w > u):
-            d = ball[v]
+    for u, levels in distance_levels(graph, range(n), t):
+        pairs = sorted((v, d) for d, level in enumerate(levels) for v in level if v > u)
+        for v, d in pairs:
             for subset in combinations(range(k), d):
                 clause = []
                 for c in subset:

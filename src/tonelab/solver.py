@@ -140,7 +140,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import bounds
 from .coloring import ToneColoring, checked
-from .graphs import Graph, distance_ball
+from .graphs import Graph, distance_levels
 
 DEFAULT_BUDGET_NODES = 50_000_000
 
@@ -196,9 +196,9 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def search_order(graph: Graph, t: int) -> Iterator[tuple[int, dict[int, int]]]:
-    """Most constrained first: each vertex in search order with its
-    distance-t ball.
+def search_order(graph: Graph, t: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """Most constrained first: each vertex in search order with the
+    levels of its distance-t ball (see graphs.distance_levels).
 
     The next vertex is the unplaced one with the largest summed t - d + 1
     over placed vertices at distance 1 <= d <= t, ties broken by higher
@@ -208,8 +208,10 @@ def search_order(graph: Graph, t: int) -> Iterator[tuple[int, dict[int, int]]]:
     of positions, since its unplaced vertices next to placed ones score
     above every vertex of an untouched component.
 
-    Each ball is computed once, when its vertex is placed; the caller
-    reads its placed part, the order its unplaced part. Candidates sit in
+    The balls are one distance_levels sweep whose sources are the heap's
+    pops, read lazily: each ball is computed once, when its vertex is
+    placed, and the next pop sees the scores it raised. The caller reads
+    a ball's placed part, the order its unplaced part. Candidates sit in
     a lazy max-heap of one int key each; scores only grow, so a vertex's
     newest key pops first and its stale keys after it is placed.
     """
@@ -223,18 +225,24 @@ def search_order(graph: Graph, t: int) -> Iterator[tuple[int, dict[int, int]]]:
     placed = [False] * n
     heap = key[:]
     heapify(heap)
-    for _ in range(n):
-        v = heappop(heap) % n
-        while placed[v]:
+
+    def pops() -> Iterator[int]:
+        for _ in range(n):
             v = heappop(heap) % n
-        placed[v] = True
-        ball = distance_ball(graph, v, t)
-        yield v, ball
-        for w, d in ball.items():
-            if not placed[w]:
-                k = key[w] - gain[d]
-                key[w] = k
-                heappush(heap, k)
+            while placed[v]:
+                v = heappop(heap) % n
+            placed[v] = True
+            yield v
+
+    for v, levels in distance_levels(graph, pops(), t):
+        yield v, levels
+        for d in range(1, len(levels)):
+            g = gain[d]
+            for w in levels[d]:
+                if not placed[w]:
+                    k = key[w] - g
+                    key[w] = k
+                    heappush(heap, k)
 
 
 class _Prepared(NamedTuple):
@@ -274,10 +282,15 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     position = [n] * n  # n until placed
     partners: list[list[tuple[int, int]]] = []
     fresh_min: list[int] = []
-    for i, (v, ball) in enumerate(search_order(graph, t)):
+    for i, (v, levels) in enumerate(search_order(graph, t)):
         order.append(v)
         position[v] = i
-        plist = [(j, d - 1) for w, d in ball.items() if (j := position[w]) < i]
+        plist = [
+            (j, d - 1)
+            for d, level in enumerate(levels)
+            for w in level
+            if (j := position[w]) < i
+        ]
         plist.sort()
         partners.append(plist)
         if len(plist) == i:  # every earlier vertex constrains this one
@@ -703,13 +716,14 @@ def tau_exact(
     lower bound. When the budget stops the loop first, the greedy climbs
     from the first k not refuted on the same prepared search (see _climb),
     its nodes uncounted: exact if it uses k colors, else [k, its colors].
+    The climb skips the starting bound, where the first pass has failed.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if graph.n == 0:
         raise ValueError("empty graph")
     meter = _Meter(budget or SearchBudget())
-    k = starting_lower_bound(graph, t)
+    k = start = starting_lower_bound(graph, t)
     prep = _prepare(graph, t)
     witness = _greedy(graph, prep, t, k)
     if witness is not None:  # the search's first solution at k, found unsearched
@@ -721,7 +735,7 @@ def tau_exact(
         if status == TIMEOUT:
             break
         k += 1
-    witness = _climb(graph, prep, t, k)
+    witness = _climb(graph, prep, t, max(k, start + 1))
     upper = witness.palette_size
     if upper == k:
         return SolveOutcome(EXACT, k, k, k, witness, meter.stats())

@@ -27,6 +27,7 @@ from tonelab.graphs import (
     cartesian_product,
     connected_components,
     distance_ball,
+    distance_levels,
     format_graph,
     is_connected,
     parse_graph,
@@ -264,15 +265,82 @@ class CountingSequence(Sequence):
 
 
 def test_distance_ball_stops_once_it_holds_every_vertex():
-    # K_19 squared has diameter 2: levels 0 and 1 (1 + 36 vertices) reach
-    # all 361, so the 324 lists of level 2 add nothing at cap 3
+    # K_19 squared has diameter 2. Vertex 0's list gives its 36 neighbors;
+    # the lists of its 18 row neighbors, read first, each add one column
+    # of 18, which makes all 361, so the search stops mid-level 1 and
+    # never reads the 18 column neighbors' lists or any of level 2's
     graph = cartesian_power(build_complete(19), 2)
     ref = floyd_warshall(graph)
     counting = CountingSequence(graph.adjacency)
     graph.__dict__["adjacency"] = counting  # shadows the cached property
     ball = distance_ball(graph, 0, 3)
-    assert counting.reads == 1 + 36
+    assert counting.reads == 1 + 18
     assert ball == {v: int(ref[0, v]) for v in range(graph.n)}
+
+
+def assert_levels_match_oracle(graph, ref, sources, cap):
+    """Each ball of one sweep over ``sources`` equals Floyd-Warshall's."""
+    sources = list(sources)
+    swept = list(distance_levels(graph, iter(sources), cap))
+    assert [src for src, _ in swept] == sources
+    for src, levels in swept:
+        assert levels[0] == [src]
+        assert all(levels)  # no empty level
+        assert [sorted(level) for level in levels] == [
+            [v for v in range(graph.n) if ref[src, v] == d] for d in range(len(levels))
+        ]
+        farthest = [ref[src, v] for v in range(graph.n) if np.isfinite(ref[src, v])]
+        assert len(levels) - 1 == min(cap, max(farthest))
+
+
+def test_distance_levels_match_floyd_warshall_at_every_cap():
+    rng = random.Random(2323)
+    graphs = [Graph(1), Graph(4), build_path(6), Graph(5, [(0, 1), (2, 3)])]
+    graphs += [random_graph(rng, rng.randrange(2, 16), rng.uniform(0.05, 0.5)) for _ in range(40)]
+    assert sum(not is_connected(g) for g in graphs) >= 10
+    for g in graphs:
+        ref = floyd_warshall(g)
+        for cap in range(g.n + 1):
+            assert_levels_match_oracle(g, ref, range(g.n), cap)
+
+
+def test_distance_levels_reads_sources_lazily_and_stamps_per_ball():
+    rng = random.Random(2324)
+    for _ in range(30):
+        g = random_graph(rng, rng.randrange(2, 16), rng.uniform(0.05, 0.5))
+        ref = floyd_warshall(g)
+        sources = [rng.randrange(g.n) for _ in range(2 * g.n)]  # repeats
+        assert len(set(sources)) < len(sources)
+        for cap in (0, 1, 2, g.n):
+            assert_levels_match_oracle(g, ref, sources, cap)
+    # a source is drawn only when the ball before it has been handed out
+    drawn = []
+
+    def sources():
+        for v in (3, 0, 3):
+            drawn.append(v)
+            yield v
+
+    sweep = distance_levels(build_path(5), sources(), 1)
+    assert next(sweep) == (3, [[3], [2, 4]]) and drawn == [3]
+    assert next(sweep) == (0, [[0], [1]]) and drawn == [3, 0]
+    assert next(sweep) == (3, [[3], [2, 4]]) and drawn == [3, 0, 3]
+
+
+def test_distance_levels_rejects_a_negative_cap_on_the_first_ball():
+    sweep = distance_levels(build_path(3), range(3), -1)  # nothing runs yet
+    with pytest.raises(ValueError):
+        next(sweep)
+
+
+def test_distance_levels_rejects_a_source_out_of_range():
+    sweep = distance_levels(build_path(5), [0, -1], 2)
+    assert next(sweep) == (0, [[0], [1], [2]])
+    with pytest.raises(ValueError):
+        next(sweep)  # -1 would otherwise alias vertex 4
+    for src in (-1, 5):
+        with pytest.raises(ValueError):
+            distance_ball(build_path(5), src, 2)
 
 
 def test_distance_ball_is_symmetric():

@@ -775,22 +775,56 @@ def test_tau_exact_prepares_once(monkeypatch):
     assert calls == [3]
 
 
+def test_tau_exact_runs_each_greedy_cap_once(monkeypatch):
+    """The greedy pass at the starting bound is not repeated by the climb
+    after a timeout, whether the budget stops the search at that bound
+    (S_5 at t = 3 on one node) or after refuting it (P_4 cubed at t = 3,
+    where k = 10 takes 176 nodes)."""
+    from tonelab import solver
+
+    caps = []
+    greedy = solver._greedy
+
+    def spy(graph, prep, t, cap):
+        caps.append(cap)
+        return greedy(graph, prep, t, cap)
+
+    monkeypatch.setattr(solver, "_greedy", spy)
+    cases = [
+        (build_star(5), 3, 1, (9, 10), [9, 10]),
+        (cartesian_power(build_path(4), 3), 3, 200, (11, 14), [10, 11, 12, 13, 14]),
+    ]
+    for g, t, nodes, bracket, expect in cases:
+        caps.clear()
+        out = tau_exact(g, t, SearchBudget(max_nodes=nodes))
+        assert out.status == TIMEOUT and (out.best_lower, out.best_upper) == bracket
+        assert caps[0] == starting_lower_bound(g, t)
+        assert caps == expect  # ascending, so no cap twice
+
+
 def test_prepare_computes_each_distance_ball_once(monkeypatch):
     from tonelab import solver
 
     calls = []
-    ball = solver.distance_ball
+    sweep = solver.distance_levels
 
-    def spy(graph, src, cap):
-        calls.append((src, cap))
-        return ball(graph, src, cap)
+    def spy(graph, sources, cap):
+        calls.append("sweep")
 
-    monkeypatch.setattr(solver, "distance_ball", spy)
+        def seen():
+            for src in sources:
+                calls.append((src, cap))
+                yield src
+
+        return sweep(graph, seen(), cap)
+
+    monkeypatch.setattr(solver, "distance_levels", spy)
     g = build_gnp(60, 0.05, 1)
     for t in (1, 2, 3):
         calls.clear()
         solver._prepare(g, t)
-        assert sorted(calls) == [(v, t) for v in range(g.n)]
+        assert calls[0] == "sweep"  # one sweep for the whole order
+        assert sorted(calls[1:]) == [(v, t) for v in range(g.n)]
 
 
 def test_tau_exact_matches_brute_force_on_disconnected_graphs():
