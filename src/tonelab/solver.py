@@ -1,7 +1,7 @@
 """Exact t-tone solver: feasibility search and optimum computation.
 
 The decision search assigns t-subsets of {0..k-1} to vertices in a fixed
-order, most constrained first (see search_order), and prunes any partial
+order, most constrained first (see _prepare), and prunes any partial
 assignment in which some colored pair at distance d <= t already shares
 d colors.
 
@@ -113,6 +113,30 @@ node budget: each entry into a position's candidate search (see
 _candidate_sets) is one node, and each placement of a candidate set is one
 more.
 
+The starting bound. tau_exact starts at the max of starting_lower_bound's
+closed forms (the degree bound and the pairsum over components) and
+suffix_fresh[0], the summed fresh-color floor of the prepared order (see
+_prepare). Two facts make the latter sound and stronger than t times a
+greedy clique:
+
+* suffix_fresh[0] is at most the palette of every valid coloring. Take a
+  position that every earlier vertex constrains. Its vertex shares at
+  most d - 1 colors with each earlier vertex at distance d, so at most
+  sum(d - 1) of its colors are held earlier, and at least t - sum(d - 1)
+  are new there. A color new at one position is held there, so it is
+  new at no later one: the new colors of different positions are
+  distinct. The argument reads the coloring alone and uses no symmetry
+  rule.
+* The greedy clique is the order's prefix. Grow a clique from a
+  max-degree vertex of lowest index, each time adding the common
+  neighbor of highest degree, then lowest index; the order starts at the
+  same vertex. After j placed vertices that form a clique, an unplaced
+  vertex adjacent to all of them scores j*t, and every other one at most
+  (j - 1)*t + t - 1 = j*t - 1, so the next vertex is a common neighbor,
+  picked by degree, then index, as the clique picks it. Every position
+  of the prefix has all earlier vertices at distance 1 and needs t fresh
+  colors, so suffix_fresh[0] >= t * |clique|.
+
 tau_exact first runs the greedy heuristic (_greedy) once at the starting
 lower bound k, on the same prepared search: at each position it picks
 the least set, in the same mask order, that is valid against the earlier
@@ -136,6 +160,7 @@ import sys
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from . import bounds
@@ -196,55 +221,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def search_order(graph: Graph, t: int) -> Iterator[tuple[int, list[list[int]]]]:
-    """Most constrained first: each vertex in search order with the
-    levels of its distance-t ball (see graphs.distance_levels).
-
-    The next vertex is the unplaced one with the largest summed t - d + 1
-    over placed vertices at distance 1 <= d <= t, ties broken by higher
-    degree, then lower index: the static form of Brelaz's saturation rule
-    (DSATUR, CACM 1979). The first vertex is therefore a max-degree vertex
-    of lowest index, and each connected component fills a contiguous run
-    of positions, since its unplaced vertices next to placed ones score
-    above every vertex of an untouched component.
-
-    The balls are one distance_levels sweep whose sources are the heap's
-    pops, read lazily: each ball is computed once, when its vertex is
-    placed, and the next pop sees the scores it raised. The caller reads
-    a ball's placed part, the order its unplaced part. Candidates sit in
-    a lazy max-heap of one int key each; scores only grow, so a vertex's
-    newest key pops first and its stale keys after it is placed.
-    """
-    n = graph.n
-    degs = graph.degrees
-    # key[v] = -(score * (max degree + 1) + degree) * n + v: the least key
-    # wins, and key % n is the vertex; a vertex at distance d lowers it by
-    # gain[d]
-    key = [-degs[v] * n + v for v in range(n)]
-    gain = [(t + 1 - d) * (graph.max_degree + 1) * n for d in range(t + 1)]
-    placed = [False] * n
-    heap = key[:]
-    heapify(heap)
-
-    def pops() -> Iterator[int]:
-        for _ in range(n):
-            v = heappop(heap) % n
-            while placed[v]:
-                v = heappop(heap) % n
-            placed[v] = True
-            yield v
-
-    for v, levels in distance_levels(graph, pops(), t):
-        yield v, levels
-        for d in range(1, len(levels)):
-            g = gain[d]
-            for w in levels[d]:
-                if not placed[w]:
-                    k = key[w] - g
-                    key[w] = k
-                    heappush(heap, k)
-
-
 class _Prepared(NamedTuple):
     """What every decision search on one (graph, t) shares; see _prepare."""
 
@@ -257,17 +233,34 @@ class _Prepared(NamedTuple):
 
 def _prepare(graph: Graph, t: int) -> _Prepared:
     """Search order, per-position constraint lists, fresh-color floor,
-    previous false twins and dead-end culprits.
+    previous false twins and dead-end culprits, in one pass.
 
-    One pass over search_order reads each distance-t ball once: the ball
-    of the vertex at position i gives partners[i], the (earlier position,
-    allowed shared count) of every earlier vertex within distance t,
-    sorted by position. suffix_fresh[i] is a lower bound on the number of
-    brand-new colors positions i.. must introduce: when all earlier
-    vertices constrain position j, its old picks are capped by the summed
-    allowances, so it needs at least t - sum(d-1) fresh colors (the
-    pair-counting argument behind the pairsum lower bound). Placing more
-    colors than k - suffix_fresh[i+1] admits is therefore a dead end.
+    The order is most constrained first: the next vertex is the unplaced
+    one with the largest summed t - d + 1 over placed vertices at
+    distance 1 <= d <= t, ties broken by higher degree, then lower index:
+    the static form of Brelaz's saturation rule (DSATUR, CACM 1979). The
+    first vertex is therefore a max-degree vertex of lowest index, and
+    each connected component fills a contiguous run of positions, since
+    its unplaced vertices next to placed ones score above every vertex of
+    an untouched component. Candidates sit in a lazy max-heap of one int
+    key each; scores only grow, so a vertex's newest key pops first and
+    its stale keys after it is placed.
+
+    The distance-t balls are one distance_levels sweep whose sources are
+    the heap's pops, read lazily: each ball is read once, when its vertex
+    is placed, and the next pop sees the scores it raised. An earlier
+    vertex of the ball of the vertex at position i goes into partners[i],
+    the (earlier position, allowed shared count) of every earlier vertex
+    within distance t, sorted by position; an unplaced one has its key
+    raised.
+
+    suffix_fresh[i] is a lower bound on the number of brand-new colors
+    positions i.. must introduce: when all earlier vertices constrain
+    position j, its old picks are capped by the summed allowances, so it
+    needs at least t - sum(d-1) fresh colors (the pair-counting argument
+    behind the pairsum lower bound). Placing more colors than
+    k - suffix_fresh[i+1] admits is therefore a dead end, and
+    suffix_fresh[0] is a lower bound on tau_t (see the module docstring).
     twin_prev[i] is the latest earlier position whose vertex has the same
     neighborhood (a false twin), or -1.
     culprits[i] is the bitmask of the culprits of position i that do not
@@ -278,34 +271,52 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     partners or twin_prev replaced therefore needs culprits=[] too.
     """
     n = graph.n
-    order: list[int] = []
+    adjacency = graph.adjacency
+    # key[v] = -(score * (max degree + 1) + degree) * n + v: the least key
+    # wins, and key % n is the vertex; a vertex at distance d lowers it by
+    # gain[d]
+    key = [-deg * n + v for v, deg in enumerate(graph.degrees)]
+    gain = [(t + 1 - d) * (graph.max_degree + 1) * n for d in range(t + 1)]
+    heap = key[:]
+    heapify(heap)
     position = [n] * n  # n until placed
+    order: list[int] = []
+
+    def pops() -> Iterator[int]:
+        for i in range(n):
+            v = heappop(heap) % n
+            while position[v] < n:
+                v = heappop(heap) % n
+            position[v] = i
+            yield v
+
     partners: list[list[tuple[int, int]]] = []
     fresh_min: list[int] = []
-    for i, (v, levels) in enumerate(search_order(graph, t)):
+    twin_prev: list[int] = []
+    last_with: dict[tuple[int, ...], int] = {}
+    for i, (v, levels) in enumerate(distance_levels(graph, pops(), t)):
         order.append(v)
-        position[v] = i
-        plist = [
-            (j, d - 1)
-            for d, level in enumerate(levels)
-            for w in level
-            if (j := position[w]) < i
-        ]
+        plist = []
+        shared = 0  # summed allowance of the earlier vertices in the ball
+        for d in range(1, len(levels)):
+            g = gain[d]
+            lim = d - 1
+            for w in levels[d]:
+                j = position[w]
+                if j < i:
+                    plist.append((j, lim))
+                    shared += lim
+                else:
+                    k = key[w] - g
+                    key[w] = k
+                    heappush(heap, k)
         plist.sort()
         partners.append(plist)
-        if len(plist) == i:  # every earlier vertex constrains this one
-            fresh_min.append(max(0, t - sum(lim for _, lim in plist)))
-        else:
-            fresh_min.append(0)
-    suffix_fresh = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix_fresh[i] = suffix_fresh[i + 1] + fresh_min[i]
-    last_with: dict[tuple[int, ...], int] = {}
-    twin_prev = []
-    adjacency = graph.adjacency
-    for i, v in enumerate(order):
+        # fresh colors are forced only when every earlier vertex constrains v
+        fresh_min.append(max(0, t - shared) if len(plist) == i else 0)
         twin_prev.append(last_with.get(adjacency[v], -1))
         last_with[adjacency[v]] = i
+    suffix_fresh = list(accumulate(reversed(fresh_min), initial=0))[::-1]
     return _Prepared(order, partners, suffix_fresh, twin_prev, [])
 
 
@@ -627,34 +638,18 @@ def feasible(
     return FeasibilityResult(status, witness, meter.stats())
 
 
-def greedy_clique_size(graph: Graph) -> int:
-    """Size of a greedily grown clique (max degree first, lowest index ties)."""
-    if graph.n == 0:
-        return 0
-    degs = graph.degrees
-    seed = min(range(graph.n), key=lambda v: (-degs[v], v))
-    clique = [seed]
-    common = set(graph.adjacency[seed])
-    while common:
-        nxt = min(common, key=lambda v: (-degs[v], v))
-        clique.append(nxt)
-        common &= set(graph.adjacency[nxt])
-    return len(clique)
-
-
 def starting_lower_bound(graph: Graph, t: int) -> int:
-    """max of the closed-form lower bounds: degree, the pairsum over
-    components, and t times a greedy clique size.
+    """max of the closed-form lower bounds: degree and the pairsum over
+    components. tau_exact starts at its max with the prepared order's
+    fresh-color count, which covers t times a greedy clique (see the
+    module docstring).
 
     The degree bound is the floor of bounds.component_pairsum, so a
     component whose pairsum estimate cannot beat it is never built.
     """
     best = (bounds.degree_bound(graph.max_degree, t) or t) if graph.n else 0
     pairsum = bounds.component_pairsum(graph, t, best)
-    if pairsum is not None:
-        best = pairsum.value
-    best = max(best, t * greedy_clique_size(graph))
-    return best
+    return best if pairsum is None else pairsum.value
 
 
 def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
@@ -704,27 +699,30 @@ def tau_exact(
     budget: Optional[SearchBudget] = None,
 ) -> SolveOutcome:
     """Compute the t-tone chromatic number by incrementing k from the best
-    closed-form lower bound until the decision search finds a coloring.
+    lower bound until the decision search finds a coloring.
 
-    The search is prepared once. A greedy pass at the lower bound comes
-    first: when it colors the graph, its coloring is the search's first
-    solution there (see the module docstring), so the outcome is exact
-    with no search node. Otherwise one budget covers every palette size;
-    a palette size starts only while some of it is left. Exact outcomes
-    carry the witness; the infeasibility of value-1 is either
-    search-proved (when the loop visited it) or implied by the starting
-    lower bound. When the budget stops the loop first, the greedy climbs
-    from the first k not refuted on the same prepared search (see _climb),
-    its nodes uncounted: exact if it uses k colors, else [k, its colors].
-    The climb skips the starting bound, where the first pass has failed.
+    The search is prepared once, and the lower bound is the max of
+    starting_lower_bound's closed forms and the prepared order's
+    fresh-color count suffix_fresh[0], which covers t times the greedy
+    clique (see the module docstring). A greedy pass at the lower bound comes first: when it colors the graph,
+    its coloring is the search's first solution there (see the module
+    docstring), so the outcome is exact with no search node. Otherwise one
+    budget covers every palette size; a palette size starts only while
+    some of it is left. Exact outcomes carry the witness; the
+    infeasibility of value-1 is either search-proved (when the loop
+    visited it) or implied by the starting lower bound. When the budget
+    stops the loop first, the greedy climbs from the first k not refuted
+    on the same prepared search (see _climb), its nodes uncounted: exact
+    if it uses k colors, else [k, its colors]. The climb skips the
+    starting bound, where the first pass has failed.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if graph.n == 0:
         raise ValueError("empty graph")
     meter = _Meter(budget or SearchBudget())
-    k = start = starting_lower_bound(graph, t)
     prep = _prepare(graph, t)
+    k = start = max(starting_lower_bound(graph, t), prep.suffix_fresh[0])
     witness = _greedy(graph, prep, t, k)
     if witness is not None:  # the search's first solution at k, found unsearched
         return SolveOutcome(EXACT, k, k, k, witness, meter.stats())

@@ -77,6 +77,23 @@ def most_constrained_order(graph: Graph, t: int) -> list[int]:
     return order
 
 
+def greedy_clique(graph: Graph) -> list[int]:
+    """A clique grown greedily, in the order its vertices join: a vertex of
+    highest degree, then lowest index, first; then, while the clique has
+    common neighbors, the one of highest degree, then lowest index."""
+    adj = [set() for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    common = set(range(graph.n))
+    clique: list[int] = []
+    while common:
+        best = min(common, key=lambda u: (-len(adj[u]), u))
+        clique.append(best)
+        common &= adj[best]
+    return clique
+
+
 def bfs_components(graph: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * graph.n

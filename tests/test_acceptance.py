@@ -7,7 +7,7 @@ is a hard failure, never a skip.
 
 import random
 
-from oracles import brute_force_tau, connected_graphs_up_to_iso, random_graph
+from oracles import brute_force_tau, connected_graphs_up_to_iso, greedy_clique, random_graph
 from test_constructions import four_tone_conditions
 from tonelab.bounds import (
     degree_lower_bound,
@@ -47,7 +47,6 @@ from tonelab.solver import (
     _greedy,
     _prepare,
     feasible,
-    greedy_clique_size,
     tau_exact,
 )
 
@@ -114,10 +113,16 @@ def test_criterion_5_prop73_heaviest_row():
 def test_criterion_6_mols_colorings_certified():
     for n in (3, 5, 7):
         knn = cartesian_power(build_complete(n), 2)
-        # the squared clique contains K_n, which forces t*n colors outright
-        assert greedy_clique_size(knn) >= n
+        # the squared clique contains K_n, which forces t*n colors outright:
+        # the search order starts with a greedy clique, and the fresh
+        # colors it needs lift the solver's starting bound to t*n
+        clique = greedy_clique(knn)
+        assert len(clique) >= n
         family = prime_mols(n)
         for t in range(1, n):
+            prep = _prepare(knn, t)
+            assert prep.order[: len(clique)] == clique
+            assert prep.suffix_fresh[0] >= t * n
             coloring = mols_coloring_knn(family, t)
             assert verify(knn, coloring).valid
             assert colors_used(coloring) == t * n

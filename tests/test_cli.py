@@ -91,7 +91,7 @@ def test_solve_budget_exhaustion_exit3(capsys):
     assert "bracket [9, 10]" in capsys.readouterr().out  # the greedy's 10 = tau_3(S_5)
     # the upper end is the greedy heuristic's palette, not t*n
     for family, t, nodes, code, lower, upper in (
-        ("hypercube 4", 3, 0, 3, 9, 12),
+        ("hypercube 4", 3, 0, 3, 10, 12),  # 10: the order's fresh-color count
         ("gnp 300 0.01 13", 2, 25_000, 3, 7, 8),  # seed 1 is exact 7 in 1,623
         ("tree 3 4", 2, 0, 0, 5, 5),  # the greedy meets the degree bound
     ):

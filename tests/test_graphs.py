@@ -32,7 +32,7 @@ from tonelab.graphs import (
     is_connected,
     parse_graph,
 )
-from tonelab.solver import TIMEOUT, SearchBudget, feasible, search_order
+from tonelab.solver import TIMEOUT, SearchBudget, _prepare, feasible
 
 
 def assert_balls_match_oracle(graph, cap):
@@ -410,7 +410,7 @@ def test_components_and_search_order_match_queue_bfs():
         assert comps == bfs_components(g)
         assert is_connected(g) == (len(comps) <= 1)
         t = rng.randrange(1, 4)
-        order = [v for v, _ in search_order(g, t)]
+        order = _prepare(g, t).order
         assert order == most_constrained_order(g, t), (sorted(g.edges), t)
         disconnected += len(comps) > 1
         isolated += 0 in g.degrees

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     brute_force_tau,
     chromatic_number_reference,
+    greedy_clique,
     plant_twins,
     random_connected_graph,
     random_graph,
@@ -28,10 +29,9 @@ from tonelab.solver import (
     INFEASIBLE,
     TIMEOUT,
     SearchBudget,
+    _prepare,
     feasible,
-    greedy_clique_size,
     greedy_heuristic_climb,
-    search_order,
     starting_lower_bound,
     tau_exact,
 )
@@ -54,14 +54,14 @@ def test_budget_requires_a_cap():
 def test_search_order_prefers_high_degree():
     """A max-degree vertex of lowest index comes first, and each connected
     component fills a contiguous run of positions."""
-    assert next(search_order(build_star(4), 2))[0] == 0  # the head
+    assert _prepare(build_star(4), 2).order[0] == 0  # the head
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    assert next(search_order(g, 1))[0] == 0  # two degree-3 vertices, 0 first
+    assert _prepare(g, 1).order[0] == 0  # two degree-3 vertices, 0 first
     rng = random.Random(1979)
     split = 0
     for _ in range(200):
         g = random_graph(rng, rng.randrange(2, 30), rng.choice([0.05, 0.1, 0.2]))
-        order = [v for v, _ in search_order(g, rng.randrange(1, 4))]
+        order = _prepare(g, rng.randrange(1, 4)).order
         assert order[0] == min(range(g.n), key=lambda v: (-g.degrees[v], v))
         comps = connected_components(g)
         component_of = {v: c for c, comp in enumerate(comps) for v in comp}
@@ -70,6 +70,57 @@ def test_search_order_prefers_high_degree():
         assert sorted(runs) == list(range(len(comps))), sorted(g.edges)
         split += len(comps) > 1
     assert split >= 150
+
+
+def clique_prefix(graph, order):
+    """The longest prefix of ``order`` whose vertices are pairwise adjacent."""
+    adjacent = [set(a) for a in graph.adjacency]
+    size = 0
+    while size < len(order) and adjacent[order[size]].issuperset(order[:size]):
+        size += 1
+    return order[:size]
+
+
+def test_the_orders_clique_prefix_is_the_greedy_clique():
+    """The order starts with the greedy clique, and suffix_fresh[0] charges
+    t fresh colors to each of its vertices, so the fresh-color count
+    subsumes the clique bound (see solver's module docstring)."""
+    rng = random.Random(2025)
+    split = 0
+    graphs = [Graph(1), Graph(5), build_star(4), build_complete(5)]
+    for _ in range(300):
+        n = rng.randrange(1, 30)
+        graphs.append(random_graph(rng, n, rng.choice([0.05, 0.1, 0.3, 0.6, 0.9])))
+    for g in graphs:
+        t = rng.randrange(1, 5)
+        prep = _prepare(g, t)
+        clique = greedy_clique(g)
+        assert clique_prefix(g, prep.order) == clique, (sorted(g.edges), t)
+        assert prep.suffix_fresh[0] >= t * len(clique)
+        split += len(connected_components(g)) > 1
+    assert split >= 100
+
+
+def test_the_fresh_color_count_is_a_lower_bound():
+    """suffix_fresh[0] never exceeds tau_t, by the oracle on small graphs
+    (some disconnected) and trees; it is tau_t on most of them, and above
+    the closed forms of starting_lower_bound on some."""
+    rng = random.Random(2026)
+    tight = lifted = disconnected = 0
+    for t, n_max, count in ((1, 7, 40), (2, 6, 40), (3, 4, 30), (4, 4, 20)):
+        for trial in range(count):
+            n = rng.randrange(1, n_max + 1)
+            if trial % 2:
+                g = random_tree(rng, n)
+            else:
+                g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            fresh = _prepare(g, t).suffix_fresh[0]
+            tau = brute_force_tau(g, t, t * n)
+            assert fresh <= tau, (sorted(g.edges), t)
+            tight += fresh == tau
+            lifted += fresh > starting_lower_bound(g, t)
+            disconnected += len(connected_components(g)) > 1
+    assert tight >= 100 and lifted >= 10 and disconnected >= 20
 
 
 def test_feasible_star_small_cases():
@@ -184,7 +235,6 @@ def unskipped_lower_bound(graph, t):
         candidates.append(bounds.degree_lower_bound(graph.max_degree, t))
     for comp in connected_components(graph):
         candidates.append(bounds.pairsum_bound(graph.induced_subgraph(comp), t).value)
-    candidates.append(t * greedy_clique_size(graph))
     return max(candidates)
 
 
@@ -207,7 +257,6 @@ def test_pairsum_skip_is_sound():
                      (build_path(4), 4), (build_path(6), 9), (build_path(5), 6)]:
         pairsum = bounds.pairsum_bound(graph, t).value
         assert pairsum > bounds.degree_lower_bound(graph.max_degree, t)
-        assert pairsum > t * greedy_clique_size(graph)
         assert starting_lower_bound(graph, t) == pairsum == unskipped_lower_bound(graph, t)
     assert starting_lower_bound(build_star(3), 5) == 17
 
@@ -288,27 +337,36 @@ def test_brackets_agree_with_the_oracle_under_every_budget():
     still hold tau_t, an exact outcome must be right, and a timeout's
     witness is the greedy heuristic's, whatever stopped the search. The
     oracle's cost sets the sizes: at n = 7 and t = 2, or n = 4 and t = 3,
-    one brute-force run can take seconds."""
+    one brute-force run can take seconds. The starting bound closes every
+    random draw below, so two fixed graphs whose start is below tau_t
+    keep the timeout path covered: C_5 at t = 1, and a 6-vertex graph at
+    t = 2 whose start is 5 and tau_2 is 6."""
     rng = random.Random(18)
-    closed = timeouts = 0
+    cases = [
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 1),
+        (Graph(6, [(0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4)]), 2),
+    ]
     for t, n_max, count in ((1, 7, 30), (2, 6, 40), (3, 3, 30)):
         for _ in range(count):
             n = rng.randrange(1, n_max + 1)
-            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-            tau = brute_force_tau(g, t, t * n)
-            greedy = greedy_heuristic_climb(g, t)
-            for nodes in (0, 1, 10, 100):
-                out = tau_exact(g, t, SearchBudget(max_nodes=nodes))
-                case = (sorted(g.edges), n, t, nodes)
-                assert out.best_lower <= tau <= out.best_upper, case
-                if out.status == EXACT:
-                    assert out.value == tau, case
-                    closed += out.stats.nodes == 0  # the greedy alone closed it
-                else:
-                    assert out.witness == greedy, case
-                    assert verify(g, out.witness).valid, case
-                    assert colors_used(out.witness) == out.best_upper, case
-                    timeouts += 1
+            cases.append((random_graph(rng, n, rng.uniform(0.1, 0.9)), t))
+    closed = timeouts = 0
+    for g, t in cases:
+        n = g.n
+        tau = brute_force_tau(g, t, t * n)
+        greedy = greedy_heuristic_climb(g, t)
+        for nodes in (0, 1, 10, 100):
+            out = tau_exact(g, t, SearchBudget(max_nodes=nodes))
+            case = (sorted(g.edges), n, t, nodes)
+            assert out.best_lower <= tau <= out.best_upper, case
+            if out.status == EXACT:
+                assert out.value == tau, case
+                closed += out.stats.nodes == 0  # the greedy alone closed it
+            else:
+                assert out.witness == greedy, case
+                assert verify(g, out.witness).valid, case
+                assert colors_used(out.witness) == out.best_upper, case
+                timeouts += 1
     assert closed > 0 and timeouts > 0
 
 
@@ -608,7 +666,7 @@ def test_a_completed_greedy_pass_is_the_searchs_first_solution():
         else:
             g = random_graph(rng, n, rng.uniform(0.1, 0.7))
         prep = _prepare(g, t)
-        start = starting_lower_bound(g, t)
+        start = max(starting_lower_bound(g, t), prep.suffix_fresh[0])  # tau_exact's
         for k in range(start, _climb(g, prep, t, start).palette_size + 3):
             greedy = _greedy(g, prep, t, k)
             if greedy is None:
@@ -744,7 +802,7 @@ def test_tau_exact_counts_every_palette_size_on_one_budget():
     s3_plus_2 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     out = tau_exact(s3_plus_2, 5)
     assert out.status == EXACT and out.value == 18
-    assert out.stats.nodes == 1 + 64 + 42  # k = 16, 17 refuted; 18 found
+    assert out.stats.nodes == 64 + 42  # k = 17 refuted; 18 found
     star5 = build_star(5)
     out = tau_exact(star5, 3)
     assert out.status == EXACT and out.value == 10
@@ -754,8 +812,10 @@ def test_tau_exact_counts_every_palette_size_on_one_budget():
     # greedy heuristic closes the bracket at 10 without adding a node
     out = tau_exact(star5, 3, SearchBudget(max_nodes=33))
     assert (out.status, out.value, out.stats.nodes) == (EXACT, 10, 33)
+    # P_6 at t = 4 starts at its fresh-color count, 12 = tau_4, where the
+    # greedy pass closes it
     out = tau_exact(build_path(6), 4, SearchBudget(max_nodes=2))
-    assert (out.status, out.value, out.stats.nodes) == (EXACT, 12, 2)
+    assert (out.status, out.value, out.stats.nodes) == (EXACT, 12, 0)
 
 
 def test_tau_exact_prepares_once(monkeypatch):
