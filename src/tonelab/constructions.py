@@ -3,8 +3,10 @@
 Includes the color-reuse construction that is exact for large t, the
 2-tone decomposition through a proper coloring, Latin-square colorings of
 squared cliques, star and multipartite compositions, and four recursive
-schemes for truncated regular trees. The generic greedy heuristic lives
-in solver, since it reads the exact search's order and constraint lists.
+schemes for truncated regular trees, each a table of transfer
+permutations that relabels the depth-1 star around every vertex. The
+generic greedy heuristic lives in solver, since it reads the exact
+search's order and constraint lists.
 
 Every construction verifies its own output before returning it.
 """
@@ -14,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -211,153 +214,110 @@ def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
 
 @dataclass(frozen=True)
 class SchemeSpec:
+    """A recursive scheme for the truncated arity-regular tree, given by
+    the root's set and one transfer permutation of range(palette) per slot.
+
+    Slots number a vertex's neighbors in adjacency order: the root's
+    children are slots 0..arity-1; a deeper vertex has its parent in slot
+    0 and its children in slots 1..arity-1. Every vertex v carries a frame
+    f_v, a permutation of the palette, and takes the set f_v(root_set).
+    The root's frame is the identity, and the child in slot s of v gets
+    the frame f_v ∘ transfer[s].
+
+    Each table satisfies transfer[s](root_set) = L_s, the root's child in
+    slot s, and transfer[s](L_0) = root_set. So v's neighbor in slot e
+    holds f_v(L_e): for a child by definition, and for the parent p, whose
+    child v sits in some slot s, f_v(L_0) = f_p(transfer[s](L_0)) =
+    f_p(root_set). Every closed neighborhood is thus a relabeled copy of
+    the depth-1 star.
+
+    Why a scheme that verifies at depth t verifies at every depth. Let
+    vertices u and w have lowest common ancestor a, which reaches them by
+    the slot words x and y, and write x(S) for the set S under the
+    transfers of x, last letter first. Their sets are f_a(x(root_set)) and
+    f_a(y(root_set)); f_a is a bijection, so they share exactly
+    |x(root_set) ∩ y(root_set)| colors, at distance |x| + |y|. The root's
+    children use every slot and deeper children slots 1..arity-1, so the
+    root's descendants along x and y exist in the depth max(|x|, |y|)
+    truncation and form the same pair: same shared count, same distance.
+    A t-tone coloring constrains only pairs within distance t, and the
+    4-tone schemes' conditions read only pairs within distance 4 and
+    triples of one vertex's neighbors, which lie in a relabeled star. So
+    both hold at every depth once the depth-t truncation meets them. The
+    tests verify every scheme at depth 4 >= t.
+    """
+
     name: str
-    arity: int  # regularity of the underlying tree
-    t: int
-    palette: int
     root_set: tuple[int, ...]
-    level1: tuple[tuple[int, ...], ...]
-    # child sets of v from (sets, adjacency, v, palette)
-    rule: Callable[[list, tuple, int, int], list[tuple]]
+    transfer: tuple[tuple[int, ...], ...]
+
+    @property
+    def arity(self) -> int:
+        """Regularity of the underlying tree."""
+        return len(self.transfer)
+
+    @property
+    def t(self) -> int:
+        return len(self.root_set)
+
+    @property
+    def palette(self) -> int:
+        return len(self.transfer[0])
 
 
-def shared_color(sets: list, u: int, w: int) -> int:
-    """The unique color two distance-2 vertices share."""
-    inter = sets[u] & sets[w]
-    if len(inter) != 1:
-        raise AssertionError(
-            f"vertices {u} and {w} share {len(inter)} colors, expected 1"
-        )
-    return next(iter(inter))
-
-
-def private_colors(sets: list, u: int, others: list[int]) -> list[int]:
-    """Colors of u shared with none of the given neighborhood peers."""
-    return sorted(sets[u] - {shared_color(sets, u, w) for w in others})
-
-
-def _relabel(template: tuple[tuple[int, ...], ...]):
-    """Frame: v and its parent p. List p's colors ascending, then the
-    colors neither v nor p holds, ascending; child i of v takes the colors
-    at the positions in template row i."""
-
-    def rule(sets: list, adj: tuple, v: int, palette: int) -> list[tuple]:
-        p = sets[adj[v][0]]
-        points = sorted(p) + sorted(set(range(palette)) - sets[v] - p)
-        return [tuple(points[i] for i in row) for row in template]
-
-    return rule
-
-
-def _rule_t3_4tone(sets: list, adj: tuple, v: int, palette: int) -> list[tuple]:
-    """Frame: N(p) for v's parent p. Each frame member shares one color
-    with each other member and keeps two colors private to the frame. The
-    two children of v reuse p's two lowest colors, the privates of the
-    other members j and l, and the color j and l share.
-    """
-    p = adj[v][0]
-    frame = adj[p][1:] + adj[p][:1] if p else adj[p]
-    a = sorted(sets[p])
-    j, l = [u for u in frame if u != v]
-    c_jl = shared_color(sets, j, l)
-    cp_j = private_colors(sets, j, [u for u in frame if u != j])
-    cp_l = private_colors(sets, l, [u for u in frame if u != l])
-    if len(cp_j) != 2 or len(cp_l) != 2:
-        raise AssertionError("frame member should keep exactly two private colors")
-    return [
-        (a[0], cp_j[0], cp_l[0], c_jl),
-        (a[1], cp_j[1], cp_l[1], c_jl),
-    ]
-
-
-def _rule_t4_4tone(sets: list, adj: tuple, v: int, palette: int) -> list[tuple]:
-    """Frame: N(p) for v's parent p, with v as member k. Follows the
-    scheme's cyclic triple pattern over members k+1, k+2, k+3 (modulo 4).
-    a_m is p's m-th smallest color, c(s, j) the unique color shared by
-    members s and j, cp(s) the color s shares with no other member.
-    """
-    p = adj[v][0]
-    frame = adj[p][1:] + adj[p][:1] if p else adj[p]
-    k = frame.index(v)
-    a = sorted(sets[p])
-
-    def c(s: int, j: int) -> int:
-        return shared_color(sets, frame[s], frame[j])
-
-    def cp(s: int) -> int:
-        priv = private_colors(sets, frame[s], [u for u in frame if u != frame[s]])
-        if len(priv) != 1:
-            raise AssertionError("frame member should keep exactly one private color")
-        return priv[0]
-
-    k1, k2, k3 = (k + 1) % 4, (k + 2) % 4, (k + 3) % 4
-    return [
-        (a[k1], c(k1, k2), c(k2, k3), cp(k3)),
-        (a[k2], c(k3, k2), c(k1, k3), cp(k1)),
-        (a[k3], c(k3, k1), c(k1, k2), cp(k2)),
-    ]
-
-
-# Fixed seed tables for the root and first level; each scheme's rule
-# colors the children of every deeper vertex.
+# transfer[s][c] is the color that slot s's transfer maps c to. Of the
+# tables that meet SchemeSpec's conditions, these keep the rows the earlier
+# level-by-level rules gave at depths 0-3; for T7_3tone_fano no table
+# keeps them past depth 1.
 SCHEMES: dict[str, SchemeSpec] = {
     spec.name: spec
     for spec in (
         # 9 colors for the 4-regular tree at t=3.
         SchemeSpec(
             "T4_3tone",
-            arity=4,
-            t=3,
-            palette=9,
             root_set=(0, 1, 2),
-            level1=((3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)),
-            # with v relabeled (123) and its parent (456), v's children
-            # read (478), (957), (968)
-            rule=_relabel(((0, 3, 4), (5, 1, 3), (5, 2, 4))),
+            transfer=(
+                (3, 4, 5, 0, 1, 2, 6, 7, 8),
+                (3, 6, 7, 0, 1, 2, 4, 5, 8),
+                (4, 6, 8, 0, 1, 2, 3, 5, 7),
+                (5, 7, 8, 0, 1, 2, 3, 4, 6),
+            ),
         ),
-        # 10 colors for the 7-regular tree at t=3, recursing through Fano lines.
+        # 10 colors for the 7-regular tree at t=3: the level-1 sets are the
+        # lines of a Fano plane on the 7 colors missing from the root's set.
         SchemeSpec(
             "T7_3tone_fano",
-            arity=7,
-            t=3,
-            palette=10,
             root_set=(1, 2, 3),
-            level1=(
-                (4, 5, 6),
-                (4, 7, 8),
-                (5, 7, 9),
-                (6, 8, 9),
-                (0, 5, 8),
-                (0, 6, 7),
-                (0, 4, 9),
-            ),
-            # the Fano plane on the 7 colors missing from v: the parent's
-            # set is the canonical line {1,2,4} and the children take the
-            # other lines {1,2,4}+i mod 7 (points 1..7), with points 1, 2, 4
-            # at positions 0-2 and the free points 3, 5, 6, 7 at 3-6
-            rule=_relabel(
-                ((1, 3, 4), (3, 2, 5), (2, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 3))
+            transfer=(
+                (0, 4, 5, 6, 1, 2, 3, 7, 8, 9),
+                (0, 4, 7, 8, 1, 2, 3, 5, 6, 9),
+                (0, 5, 7, 9, 1, 2, 3, 4, 6, 8),
+                (0, 6, 8, 9, 1, 2, 3, 4, 5, 7),
+                (4, 0, 5, 8, 1, 2, 3, 6, 7, 9),
+                (4, 0, 6, 7, 1, 2, 3, 5, 8, 9),
+                (5, 0, 4, 9, 1, 2, 3, 6, 7, 8),
             ),
         ),
         # 13 colors for the 3-regular tree at t=4.
         SchemeSpec(
             "T3_4tone",
-            arity=3,
-            t=4,
-            palette=13,
             root_set=(1, 2, 3, 4),
-            level1=((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12)),
-            rule=_rule_t3_4tone,
+            transfer=(
+                (0, 5, 6, 7, 8, 1, 2, 3, 4, 9, 11, 10, 12),
+                (7, 0, 5, 9, 10, 1, 2, 3, 4, 6, 11, 8, 12),
+                (0, 6, 9, 11, 12, 1, 2, 3, 4, 5, 7, 8, 10),
+            ),
         ),
         # 14 colors for the 4-regular tree at t=4.
         SchemeSpec(
             "T4_4tone",
-            arity=4,
-            t=4,
-            palette=14,
             root_set=(1, 2, 3, 4),
-            level1=((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12), (0, 7, 11, 13)),
-            rule=_rule_t4_4tone,
+            transfer=(
+                (9, 8, 5, 6, 7, 2, 3, 4, 1, 11, 13, 0, 10, 12),
+                (11, 10, 0, 5, 9, 3, 4, 1, 2, 7, 8, 6, 12, 13),
+                (7, 12, 6, 9, 11, 4, 1, 2, 3, 5, 10, 0, 13, 8),
+                (5, 13, 0, 7, 11, 1, 2, 3, 4, 9, 12, 6, 8, 10),
+            ),
         ),
     )
 }
@@ -380,25 +340,20 @@ def scheme_tree(name: str, depth: int) -> Graph:
 
 
 def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
-    """Reproduce a scheme's inductive coloring on the depth-truncated tree.
+    """Color the depth-truncated tree by the scheme's frames (see SchemeSpec).
 
-    The root and its children come from the fixed seed tables; the rule
-    then colors the children of each deeper vertex v in index order. In
-    the builder's BFS numbering v's sorted adjacency is its parent, then
-    its children, and the vertices the rule reads (v, its parent,
-    grandparent and siblings) are all colored by then. The output is
-    verified before return, so a failure here means the recursion itself
-    broke down rather than a silent bad coloring.
+    In the builder's BFS numbering a vertex's adjacency is its parent,
+    then its children, so a neighbor's index in it is its slot, and every
+    frame is set before the loop reaches its vertex. The output is
+    verified before return.
     """
     spec = resolve_scheme(name)
     graph = build_truncated_regular_tree(spec.arity, depth)
-    adj = graph.adjacency
-    sets: list = [None] * graph.n
-    sets[0] = frozenset(spec.root_set)
-    for child, colors in zip(adj[0], spec.level1):
-        sets[child] = frozenset(colors)
-    for v in range(1, graph.n):
-        if len(adj[v]) > 1:  # leaves have no children to color
-            for child, colors in zip(adj[v][1:], spec.rule(sets, adj, v, spec.palette)):
-                sets[child] = frozenset(colors)
-    return checked(graph, ToneColoring(spec.t, spec.palette, sets))
+    compose = [itemgetter(*rho) for rho in spec.transfer]  # f -> f ∘ rho
+    frames = [tuple(range(spec.palette))] * graph.n
+    for v, nbrs in enumerate(graph.adjacency):
+        for slot, w in enumerate(nbrs):
+            if w > v:  # a child, not the parent in slot 0
+                frames[w] = compose[slot](frames[v])
+    rows = list(map(itemgetter(*spec.root_set), frames))
+    return checked(graph, ToneColoring(spec.t, spec.palette, rows))

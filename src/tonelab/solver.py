@@ -704,17 +704,18 @@ def tau_exact(
     The search is prepared once, and the lower bound is the max of
     starting_lower_bound's closed forms and the prepared order's
     fresh-color count suffix_fresh[0], which covers t times the greedy
-    clique (see the module docstring). A greedy pass at the lower bound comes first: when it colors the graph,
-    its coloring is the search's first solution there (see the module
-    docstring), so the outcome is exact with no search node. Otherwise one
-    budget covers every palette size; a palette size starts only while
-    some of it is left. Exact outcomes carry the witness; the
-    infeasibility of value-1 is either search-proved (when the loop
-    visited it) or implied by the starting lower bound. When the budget
-    stops the loop first, the greedy climbs from the first k not refuted
-    on the same prepared search (see _climb), its nodes uncounted: exact
-    if it uses k colors, else [k, its colors]. The climb skips the
-    starting bound, where the first pass has failed.
+    clique (see the module docstring). A greedy pass at the lower bound
+    comes first: when it colors the graph, its coloring is the search's
+    first solution there (see the module docstring), so the outcome is
+    exact with no search node. Otherwise one budget covers every palette
+    size; a palette size starts only while some of it is left. Exact
+    outcomes carry the witness; the infeasibility of value-1 is either
+    search-proved (when the loop visited it) or implied by the starting
+    lower bound. When the budget stops the loop first, the greedy climbs
+    from the first k not refuted on the same prepared search (see
+    _climb), its nodes uncounted: exact if it uses k colors, else [k, its
+    colors]. The climb skips the starting bound, where the first pass has
+    failed.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

@@ -58,7 +58,7 @@ def most_constrained_order(graph: Graph, t: int) -> list[int]:
     unplaced vertex with the highest score, then the highest degree, then
     the lowest index, and adds t - d + 1 to the score of every unplaced
     vertex at distance 1 <= d <= t from it. O(n^2) pair lookups."""
-    dist = _plain_distances(graph, cap=t)
+    dist = plain_distances(graph, cap=t)
     degs = [0] * graph.n
     for u, v in graph.edges:
         degs[u] += 1
@@ -208,14 +208,14 @@ def brute_force_tau(graph: Graph, t: int, k_max: int) -> Optional[int]:
     rank = sorted(range(graph.n), key=lambda v: (-graph.degrees[v], v))
     position = {v: i for i, v in enumerate(rank)}
     graph = Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges])
-    dist = _plain_distances(graph, cap=t)
+    dist = plain_distances(graph, cap=t)
     for k in range(t, k_max + 1):
         if _bf_extend(graph, t, k, dist, {}, 0):
             return k
     return None
 
 
-def _plain_distances(graph: Graph, cap: int) -> dict[tuple[int, int], int]:
+def plain_distances(graph: Graph, cap: int) -> dict[tuple[int, int], int]:
     """Dict of pair distances <= cap via BFS straight off the edge set."""
     adj: dict[int, set[int]] = {v: set() for v in range(graph.n)}
     for u, v in graph.edges:

@@ -4,7 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from oracles import floyd_warshall, most_constrained_order, random_graph, random_tree
+from oracles import (
+    floyd_warshall,
+    most_constrained_order,
+    plain_distances,
+    random_graph,
+    random_tree,
+)
 from tonelab.bounds import degree_lower_bound, distance_deficiency
 from tonelab.coloring import colors_used, format_coloring, verify
 from tonelab.constructions import (
@@ -303,27 +309,28 @@ def test_scheme_seed_tables_pinned():
 
 
 # SHA-256 of format_coloring(tree_scheme_coloring(name, d)) for d = 3, 4, 5,
-# recorded from the level-by-level recursion that the index-order loop replaced.
+# recorded from the transfer-table frames. Depth 3 of T4_3tone, T3_4tone and
+# T4_4tone keeps the bytes of the level-by-level rules the tables replaced.
 SCHEME_DIGESTS = {
     "T4_3tone": (
         "0b1aba7aacd93f5bf408bd2c6365d766f40328c4dc716e2af9dc54b911774b97",
-        "20133342fb2ab7dea36e818c1c4974b92b32618e530d94b56cf456ad2af86ab6",
-        "c3197d508b37e3865f32917fc4d32cc7c771f63649daf9a6ff3da53350fb1efb",
+        "bf529ec85c639f02fd929f715c50dfc19cbf7a54f5c23ef79d55444d1a289ae2",
+        "6d82564ac557fdf66ded1dca01f07a338c3eced2e3a8826e274a70f2cb443e1d",
     ),
     "T7_3tone_fano": (
-        "1418ec3932c1e3c2473db25936ea86dbc1e0be33d675b52e198fff09e0cebccb",
-        "453192be1c305c2bf568322846853894e0e6286f70e8174e5b91c5c3eb157400",
-        "fb93e41ddd30c7b588fda145ebb4d36bc37d8f9b060fe806235dd66b84b752ed",
+        "09a091df3bc32522e28c5be052769e9c376b53761db3e17987ba74196306d5a5",
+        "68d54d75ad25d15c11f732febd889fde78b916c536efb2f956fc3af389e3a6ba",
+        "c7a7afa6b51c6ffd5fadc7fc0654da9a13c5cea1112b3e778433f4c7363642c1",
     ),
     "T3_4tone": (
         "3f3eeb5c22abf4592244fa939d5abd2bdd2249739684ee931cb23979272c5b57",
-        "efccfa45fb7a2f27529eeb7eb7c483270f6bbf065518f38d54e34bf55c1d39da",
-        "55a10cf6f8f65dd1fa2fa5bc81ddf2e41735d6ece157b5b93566072d2b517427",
+        "db55f9fad95469d52a74b6ac212a51e06160af2157cbcb4b57f40d0b21a350d9",
+        "ed2b0eba7d1f3fc9299286b5c697514e0e0b4a1e39256b977ca8fdd8f1ffc876",
     ),
     "T4_4tone": (
         "f41cde9f5d9c40ce7f0d59fc83168fa3db569d9f6bcef72826ba2991b4db6417",
-        "5ae9375e1470e86897238c46232e8984b723ab9fa8281aedd7b522764f817aee",
-        "d078969bb1fdba8171275f2b08b8c243939696db3607298617d5d63b654e9112",
+        "286886b39843eb3b56be04867128139d3f8b9118561792ce62f52e8c01ec1661",
+        "a4f4fb116d7b92152e6bd60db7813af1ea129793b658670732d815bb8d0afcea",
     ),
 }
 
@@ -347,21 +354,45 @@ def test_schemes_verify_at_all_depths():
                 assert colors_used(col) == scheme_def.t
 
 
+# the root's children in slot order, as test_scheme_seed_tables_pinned reads them
+SCHEME_LEVEL1 = {
+    "T4_3tone": ((3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8)),
+    "T7_3tone_fano": (
+        (4, 5, 6), (4, 7, 8), (5, 7, 9), (6, 8, 9), (0, 5, 8), (0, 6, 7), (0, 4, 9),
+    ),
+    "T3_4tone": ((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12)),
+    "T4_4tone": ((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12), (0, 7, 11, 13)),
+}
+
+
+def test_scheme_transfer_tables():
+    # the two conditions SchemeSpec's depth-t argument rests on
+    assert set(SCHEME_LEVEL1) == set(SCHEMES)
+    for name, level1 in SCHEME_LEVEL1.items():
+        spec = SCHEMES[name]
+        root = set(spec.root_set)
+        leaf0 = {spec.transfer[0][c] for c in root}
+        for rho, row in zip(spec.transfer, level1, strict=True):
+            assert sorted(rho) == list(range(spec.palette)), name
+            assert sorted(rho[c] for c in root) == list(row), name
+            assert {rho[c] for c in leaf0} == root, name
+
+
 def test_schemes_generalize_to_depth_four():
-    # one level beyond the acceptance gate: the recursions are genuinely
-    # inductive, not tuned to the shallow trees
-    for name in SCHEMES:
-        graph = scheme_tree(name, 4)
-        col = tree_scheme_coloring(name, 4)
-        assert verify(graph, col).valid
-        if name in ("T3_4tone", "T4_4tone"):
-            assert four_tone_conditions(graph, col) is None
+    # beyond the acceptance gate: depth 4 >= t covers every depth (see
+    # SchemeSpec), and depths 5-6 check that argument on the smaller trees
+    for name, spec in SCHEMES.items():
+        for depth in (4, 5, 6) if spec.arity <= 4 else (4,):
+            graph = scheme_tree(name, depth)
+            col = tree_scheme_coloring(name, depth)
+            assert verify(graph, col).valid, (name, depth)
+            if name in ("T3_4tone", "T4_4tone"):
+                assert four_tone_conditions(graph, col) is None, (name, depth)
 
 
 def four_tone_conditions(graph, col):
     """The structural promises of the 4-tone schemes, checked verbatim."""
     sets = [set(row) for row in col.assignment]
-    dist = floyd_warshall(graph)
     # (a) adjacent vertices share no colors
     for u, v in graph.edges:
         if sets[u] & sets[v]:
@@ -378,17 +409,15 @@ def four_tone_conditions(graph, col):
                     return f"(b) triple color around {x}"
     # (c) distance-3 pairs share the scheme-specified count
     # (d) distance-4 pairs have distinct sets
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            d = dist[u, v]
-            if d == 3:
-                shared = len(sets[u] & sets[v])
-                if col.palette_size == 13 and shared != 2:
-                    return f"(c) fails at ({u},{v}): shared {shared}"
-                if col.palette_size == 14 and shared not in (1, 2):
-                    return f"(c) fails at ({u},{v}): shared {shared}"
-            elif d == 4 and sets[u] == sets[v]:
-                return f"(d) fails at ({u},{v})"
+    for (u, v), d in sorted(plain_distances(graph, cap=4).items()):
+        if d == 3:
+            shared = len(sets[u] & sets[v])
+            if col.palette_size == 13 and shared != 2:
+                return f"(c) fails at ({u},{v}): shared {shared}"
+            if col.palette_size == 14 and shared not in (1, 2):
+                return f"(c) fails at ({u},{v}): shared {shared}"
+        elif d == 4 and sets[u] == sets[v]:
+            return f"(d) fails at ({u},{v})"
     return None
 
 
