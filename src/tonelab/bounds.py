@@ -3,7 +3,10 @@
 Each counting argument has one kernel. The pair count,
 min_palette_for_pairs, backs the degree bound and the per-part
 multipartite bound. The pair sum, pairsum_bound and its max over
-components component_pairsum, is the one source of a BoundReport.
+components component_pairsum, is the one source of a BoundReport. The
+bound command reports it; the solver does not compute it, since its
+start, the prepared order's fresh-color count per component, is never
+below it (see solver's module docstring).
 
 Ceilings are found in integer arithmetic (math.isqrt): an off-by-one at
 a perfect square would silently corrupt whole tables. The one
@@ -107,11 +110,10 @@ def pairsum_bound(graph: Graph, t: int) -> BoundReport:
     return BoundReport(value, "lower", f"equality needs t >= {threshold}")
 
 
-def component_pairsum(
-    graph: Graph, t: int, floor: float = -math.inf
-) -> Optional[BoundReport]:
-    """The pairsum bound of a graph that may be disconnected, or None when
-    it is at most floor (always None on the empty graph).
+def component_pairsum(graph: Graph, t: int) -> BoundReport:
+    """The pairsum bound of a graph that may be disconnected, for the bound
+    command's pairsum row; it raises on the empty graph, as pairsum_bound
+    does. tau_exact's start is never below its value.
 
     tau_t of a disjoint union is the max over its components, so the value
     is the largest of the components' pairsum_bound values, and the report
@@ -124,7 +126,7 @@ def component_pairsum(
     estimate t*n_c - (C(n_c, 2) - m_c). Components are visited by
     descending estimate, ties in component order, and the visit stops at
     the first one whose estimate cannot beat the best so far under the
-    first-max rule, or cannot beat floor: neither can any after it.
+    first-max rule: neither can any after it.
 
     The report is exact only when every component's is: a larger
     tau_t on a component whose equality hypothesis t >= (n_c - 1)(D_c - 1)
@@ -134,6 +136,8 @@ def component_pairsum(
     on at most t + 1 vertices, are built, and only while the report is
     still exact.
     """
+    if graph.n == 0:
+        raise ValueError("empty graph")
     comps = connected_components(graph)
     degrees = graph.degrees
     sizes = [(len(c), sum(degrees[v] for v in c) // 2) for c in comps]
@@ -141,16 +145,12 @@ def component_pairsum(
     reports: dict[int, BoundReport] = {}
     best = -1
     for i in sorted(range(len(comps)), key=lambda i: -estimate[i]):
-        if estimate[i] <= floor:
-            break
         # (value, -index) orders reports so that the first max is largest
         if reports and (estimate[i], -i) < (reports[best].value, -best):
             break
         reports[i] = pairsum_bound(graph.induced_subgraph(comps[i]), t)
         if best < 0 or (reports[i].value, -i) > (reports[best].value, -best):
             best = i
-    if not reports or reports[best].value <= floor:
-        return None
     win = reports[best]
     kind, note = win.kind, win.reason or "equality hypothesis holds"
     if kind == "exact":

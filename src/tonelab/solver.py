@@ -113,20 +113,31 @@ node budget: each entry into a position's candidate search (see
 _candidate_sets) is one node, and each placement of a candidate set is one
 more.
 
-The starting bound. tau_exact starts at the max of starting_lower_bound's
-closed forms (the degree bound and the pairsum over components) and
-suffix_fresh[0], the summed fresh-color floor of the prepared order (see
-_prepare). Two facts make the latter sound and stronger than t times a
-greedy clique:
+The starting bound. tau_exact starts at the lower bound that _prepare
+returns: the max of the degree bound (t where it does not apply) and the
+fresh-color count of each connected component, the summed forced fresh
+colors of the component's run of positions (see _prepare). Three facts
+make the count sound and at least both the pair sum and t times a greedy
+clique:
 
-* suffix_fresh[0] is at most the palette of every valid coloring. Take a
-  position that every earlier vertex constrains. Its vertex shares at
-  most d - 1 colors with each earlier vertex at distance d, so at most
-  sum(d - 1) of its colors are held earlier, and at least t - sum(d - 1)
-  are new there. A color new at one position is held there, so it is
-  new at no later one: the new colors of different positions are
-  distinct. The argument reads the coloring alone and uses no symmetry
-  rule.
+* A component's count is at most the palette of every valid coloring.
+  Take a position that every earlier vertex of its component C
+  constrains. Its vertex shares at most d - 1 colors with each such
+  vertex at distance d, so at most sum(d - 1) of its colors are held
+  earlier in C, and at least t - sum(d - 1) are new to C there. A color
+  new at one position is held there, so it is new at no later one: the
+  new colors of different positions are distinct. The count is therefore
+  at most tau_t(C), and tau_t(G) >= tau_t(C): a coloring of G restricted
+  to C colors C, whose distances are those of G. The argument reads the
+  coloring alone and uses no symmetry rule.
+* A component's count is at least its pair sum, t*n_C minus the summed
+  d - 1 over its pairs. Split that sum by the later vertex of each pair:
+  position i adds t - sum(d - 1) over the earlier vertices of its
+  component. When all of them lie within distance t, the sum is the
+  allowance the count reads, so the term is at most the count's term,
+  max(0, t - sum(d - 1)). Otherwise an earlier vertex at distance d > t
+  subtracts d - 1 >= t alone, so the term is at most 0. So bounds'
+  component_pairsum, the max over components, never beats the start.
 * The greedy clique is the order's prefix. Grow a clique from a
   max-degree vertex of lowest index, each time adding the common
   neighbor of highest degree, then lowest index; the order starts at the
@@ -135,7 +146,8 @@ greedy clique:
   (j - 1)*t + t - 1 = j*t - 1, so the next vertex is a common neighbor,
   picked by degree, then index, as the clique picks it. Every position
   of the prefix has all earlier vertices at distance 1 and needs t fresh
-  colors, so suffix_fresh[0] >= t * |clique|.
+  colors, so the first component's count, suffix_fresh[0], is at least
+  t * |clique|.
 
 tau_exact first runs the greedy heuristic (_greedy) once at the starting
 lower bound k, on the same prepared search: at each position it picks
@@ -227,13 +239,15 @@ class _Prepared(NamedTuple):
     order: list[int]
     partners: list[list[tuple[int, int]]]
     suffix_fresh: list[int]
+    lower: int
     twin_prev: list[int]
     culprits: list[int]
 
 
 def _prepare(graph: Graph, t: int) -> _Prepared:
     """Search order, per-position constraint lists, fresh-color floor,
-    previous false twins and dead-end culprits, in one pass.
+    starting lower bound, previous false twins and dead-end culprits, in
+    one pass.
 
     The order is most constrained first: the next vertex is the unplaced
     one with the largest summed t - d + 1 over placed vertices at
@@ -254,13 +268,20 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     within distance t, sorted by position; an unplaced one has its key
     raised.
 
-    suffix_fresh[i] is a lower bound on the number of brand-new colors
-    positions i.. must introduce: when all earlier vertices constrain
-    position j, its old picks are capped by the summed allowances, so it
-    needs at least t - sum(d-1) fresh colors (the pair-counting argument
-    behind the pairsum lower bound). Placing more colors than
-    k - suffix_fresh[i+1] admits is therefore a dead end, and
-    suffix_fresh[0] is a lower bound on tau_t (see the module docstring).
+    A position with no partners starts a new component: every later
+    position of a component scores above zero, by the rule above, so some
+    placed vertex lies within distance t of it.
+    When every earlier vertex of its component constrains position j,
+    its old picks are capped by the summed allowances, so it needs at
+    least t - sum(d-1) colors new to the component; a component's
+    fresh-color count sums these over its positions. lower is the max of
+    the degree bound (t where it does not apply) and every component's
+    count, a lower bound on tau_t that covers the pair sum (see the
+    module docstring). suffix_fresh[i] is a lower bound on the number of
+    brand-new colors positions i.. must introduce. It counts the first
+    component only, since later ones may reuse its colors, so
+    suffix_fresh[0] is that component's count. Placing more colors than
+    k - suffix_fresh[i+1] admits is therefore a dead end.
     twin_prev[i] is the latest earlier position whose vertex has the same
     neighborhood (a false twin), or -1.
     culprits[i] is the bitmask of the culprits of position i that do not
@@ -291,7 +312,9 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
             yield v
 
     partners: list[list[tuple[int, int]]] = []
-    fresh_min: list[int] = []
+    fresh_min = [0] * n
+    lower = bounds.degree_bound(graph.max_degree, t) or t
+    first = count = 0  # the component's first position and its fresh count
     twin_prev: list[int] = []
     last_with: dict[tuple[int, ...], int] = {}
     for i, (v, levels) in enumerate(distance_levels(graph, pops(), t)):
@@ -312,12 +335,20 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
                     heappush(heap, k)
         plist.sort()
         partners.append(plist)
-        # fresh colors are forced only when every earlier vertex constrains v
-        fresh_min.append(max(0, t - shared) if len(plist) == i else 0)
+        if not plist:  # a new component
+            first, count = i, 0
+        # fresh colors are forced only when every earlier vertex of v's
+        # component constrains v; the search's floor counts them in the
+        # first component only, since later ones may reuse its colors
+        if shared < t and len(plist) == i - first:
+            count += t - shared
+            lower = max(lower, count)
+            if not first:
+                fresh_min[i] = t - shared
         twin_prev.append(last_with.get(adjacency[v], -1))
         last_with[adjacency[v]] = i
     suffix_fresh = list(accumulate(reversed(fresh_min), initial=0))[::-1]
-    return _Prepared(order, partners, suffix_fresh, twin_prev, [])
+    return _Prepared(order, partners, suffix_fresh, lower, twin_prev, [])
 
 
 class _Meter:
@@ -527,7 +558,7 @@ def _search(
     the positions whose sets decided its candidates, read when it runs
     dry. See the module docstring.
     """
-    _, partners, suffix_fresh, twin_prev, culprits = prep
+    _, partners, suffix_fresh, _, twin_prev, culprits = prep
     n = len(partners)
     streams = [None] * n
     conflicts = [0] * n  # earlier positions that dead ends traced here
@@ -638,30 +669,16 @@ def feasible(
     return FeasibilityResult(status, witness, meter.stats())
 
 
-def starting_lower_bound(graph: Graph, t: int) -> int:
-    """max of the closed-form lower bounds: degree and the pairsum over
-    components. tau_exact starts at its max with the prepared order's
-    fresh-color count, which covers t times a greedy clique (see the
-    module docstring).
-
-    The degree bound is the floor of bounds.component_pairsum, so a
-    component whose pairsum estimate cannot beat it is never built.
-    """
-    best = (bounds.degree_bound(graph.max_degree, t) or t) if graph.n else 0
-    pairsum = bounds.component_pairsum(graph, t, best)
-    return best if pairsum is None else pairsum.value
-
-
 def greedy_heuristic_climb(graph: Graph, t: int) -> ToneColoring:
     """The greedy heuristic at the smallest palette cap it succeeds with.
 
-    Caps are tried upward from the degree lower bound (from t where that
-    bound does not apply); no smaller cap can succeed, since its coloring
-    would beat a lower bound. The search order and the constraint lists
-    are prepared once and shared by every cap tried.
+    Caps are tried upward from the prepared lower bound, tau_exact's
+    start; no smaller cap can succeed, since its coloring would beat a
+    lower bound. The search order and the constraint lists are prepared
+    once and shared by every cap tried.
     """
     prep = _prepare(graph, t)
-    return _climb(graph, prep, t, bounds.degree_bound(graph.max_degree, t) or t)
+    return _climb(graph, prep, t, prep.lower)
 
 
 def _climb(graph: Graph, prep: _Prepared, t: int, cap: int) -> ToneColoring:
@@ -701,21 +718,21 @@ def tau_exact(
     """Compute the t-tone chromatic number by incrementing k from the best
     lower bound until the decision search finds a coloring.
 
-    The search is prepared once, and the lower bound is the max of
-    starting_lower_bound's closed forms and the prepared order's
-    fresh-color count suffix_fresh[0], which covers t times the greedy
-    clique (see the module docstring). A greedy pass at the lower bound
-    comes first: when it colors the graph, its coloring is the search's
-    first solution there (see the module docstring), so the outcome is
-    exact with no search node. Otherwise one budget covers every palette
-    size; a palette size starts only while some of it is left. Exact
-    outcomes carry the witness; the infeasibility of value-1 is either
-    search-proved (when the loop visited it) or implied by the starting
-    lower bound. When the budget stops the loop first, the greedy climbs
-    from the first k not refuted on the same prepared search (see
-    _climb), its nodes uncounted: exact if it uses k colors, else [k, its
-    colors]. The climb skips the starting bound, where the first pass has
-    failed.
+    The search is prepared once, and its pass also gives the lower bound:
+    the max of the degree bound and each component's fresh-color count,
+    which covers the pair sum and t times the greedy clique (see the
+    module docstring), with no components sweep and no pair sum computed.
+    A greedy pass at the lower bound comes first: when it colors the
+    graph, its coloring is the search's first solution there (see the
+    module docstring), so the outcome is exact with no search node.
+    Otherwise one budget covers every palette size; a palette size starts
+    only while some of it is left. Exact outcomes carry the witness; the
+    infeasibility of value-1 is either search-proved (when the loop
+    visited it) or implied by the starting lower bound. When the budget
+    stops the loop first, the greedy climbs from the first k not refuted
+    on the same prepared search (see _climb), its nodes uncounted: exact
+    if it uses k colors, else [k, its colors]. The climb skips the
+    starting bound, where the first pass has failed.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -723,7 +740,7 @@ def tau_exact(
         raise ValueError("empty graph")
     meter = _Meter(budget or SearchBudget())
     prep = _prepare(graph, t)
-    k = start = max(starting_lower_bound(graph, t), prep.suffix_fresh[0])
+    k = start = prep.lower
     witness = _greedy(graph, prep, t, k)
     if witness is not None:  # the search's first solution at k, found unsearched
         return SolveOutcome(EXACT, k, k, k, witness, meter.stats())

@@ -32,7 +32,6 @@ from tonelab.solver import (
     _prepare,
     feasible,
     greedy_heuristic_climb,
-    starting_lower_bound,
     tau_exact,
 )
 
@@ -102,9 +101,10 @@ def test_the_orders_clique_prefix_is_the_greedy_clique():
 
 
 def test_the_fresh_color_count_is_a_lower_bound():
-    """suffix_fresh[0] never exceeds tau_t, by the oracle on small graphs
-    (some disconnected) and trees; it is tau_t on most of them, and above
-    the closed forms of starting_lower_bound on some."""
+    """The prepared start, which covers suffix_fresh[0], never exceeds
+    tau_t, by the oracle on small graphs (some disconnected) and trees; it
+    is tau_t on most of them, and above the degree bound and every
+    component's pairsum on some."""
     rng = random.Random(2026)
     tight = lifted = disconnected = 0
     for t, n_max, count in ((1, 7, 40), (2, 6, 40), (3, 4, 30), (4, 4, 20)):
@@ -114,11 +114,11 @@ def test_the_fresh_color_count_is_a_lower_bound():
                 g = random_tree(rng, n)
             else:
                 g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-            fresh = _prepare(g, t).suffix_fresh[0]
+            prep = _prepare(g, t)
             tau = brute_force_tau(g, t, t * n)
-            assert fresh <= tau, (sorted(g.edges), t)
-            tight += fresh == tau
-            lifted += fresh > starting_lower_bound(g, t)
+            assert prep.suffix_fresh[0] <= prep.lower <= tau, (sorted(g.edges), t)
+            tight += prep.lower == tau
+            lifted += prep.lower > unskipped_lower_bound(g, t)
             disconnected += len(connected_components(g)) > 1
     assert tight >= 100 and lifted >= 10 and disconnected >= 20
 
@@ -225,11 +225,12 @@ def test_timeout_returns_bracket_never_exact():
 
 def test_starting_lower_bound_components():
     g = Graph(5, [(0, 1), (2, 3), (3, 4)])  # K_2 + P_3
-    assert starting_lower_bound(g, 2) >= 4  # pairsum on K_2 component: 2*2
+    assert _prepare(g, 2).lower >= 4  # pairsum on K_2 component: 2*2
 
 
 def unskipped_lower_bound(graph, t):
-    """starting_lower_bound's max with every component's pairsum computed."""
+    """The max of the degree bound and every component's pairsum, each
+    computed: the closed forms that tau_exact's start covers."""
     candidates = [t]
     if graph.max_degree >= 1 and t >= 2:
         candidates.append(bounds.degree_lower_bound(graph.max_degree, t))
@@ -249,37 +250,41 @@ def test_pairsum_skip_is_sound():
             g = random_connected_graph(rng, n, rng.uniform(0.0, 0.5))
         t = rng.randrange(1, 8)
         kinds[is_connected(g)] += 1
-        assert starting_lower_bound(g, t) == unskipped_lower_bound(g, t), (g.edges, t)
+        assert _prepare(g, t).lower >= unskipped_lower_bound(g, t), (g.edges, t)
     assert min(kinds.values()) >= 50
-    # where pairsum wins, it must still be computed: stars at t >= k
-    # (prop73's tau_5(S_3) = 17 starts from pairsum) and paths at large t
+    # where pairsum wins, the start still reaches it: stars at t >= k
+    # (prop73's tau_5(S_3) = 17 starts there) and paths at large t
     for graph, t in [(build_star(3), 5), (build_star(4), 4), (build_star(5), 7),
                      (build_path(4), 4), (build_path(6), 9), (build_path(5), 6)]:
         pairsum = bounds.pairsum_bound(graph, t).value
         assert pairsum > bounds.degree_lower_bound(graph.max_degree, t)
-        assert starting_lower_bound(graph, t) == pairsum == unskipped_lower_bound(graph, t)
-    assert starting_lower_bound(build_star(3), 5) == 17
+        start = _prepare(graph, t).lower
+        assert start >= pairsum == unskipped_lower_bound(graph, t)
+        if graph.max_degree == 2:  # on a path the start is tau_t, above it on P_6
+            assert start == bounds.path_formula(graph.n, t)
+    assert _prepare(build_star(3), 5).lower == 17
 
 
 def test_pairsum_skip_builds_nothing_when_it_cannot_win(monkeypatch):
+    """tau_exact's start comes from the prepared order alone: it sweeps no
+    components, builds no subgraph and computes no pairsum, even on S_3 at
+    t = 5, where the pairsum is the best closed form."""
+    from tonelab import graphs
+
     sparse = build_gnp(2000, 2 / 2000, seed=1)
     star = build_star(3)
     expect = unskipped_lower_bound(sparse, 2), unskipped_lower_bound(star, 5)
-    bound = bounds.pairsum_bound
-    calls = []
 
-    def counting(graph, t):
-        calls.append(graph.n)
-        return bound(graph, t)
+    def fail(*args):
+        pytest.fail("the solve computed a closed form")
 
-    monkeypatch.setattr(bounds, "pairsum_bound", counting)
-    monkeypatch.setattr(Graph, "induced_subgraph", lambda *a: pytest.fail("built a subgraph"))
-    assert starting_lower_bound(sparse, 2) == expect[0]
-    assert calls == []
-    monkeypatch.undo()
-    monkeypatch.setattr(bounds, "pairsum_bound", counting)
-    assert starting_lower_bound(star, 5) == expect[1] == 17
-    assert calls == [4]
+    for module in (bounds, graphs):
+        monkeypatch.setattr(module, "connected_components", fail)
+    monkeypatch.setattr(bounds, "pairsum_bound", fail)
+    monkeypatch.setattr(Graph, "induced_subgraph", fail)
+    assert tau_exact(sparse, 2, SearchBudget(max_nodes=2_000)).best_lower >= expect[0]
+    out = tau_exact(star, 5)
+    assert (out.status, out.value) == (EXACT, 17) and expect[1] == 17
 
 
 def test_brute_force_examples():
@@ -537,7 +542,7 @@ def test_twin_floor_agrees_with_the_search_without_it():
     def solve(graph, t, prep):
         """tau_t and the nodes spent; None if even t*n colors are refuted."""
         meter = _Meter()
-        for k in range(starting_lower_bound(graph, t), t * graph.n + 1):
+        for k in range(prep.lower, t * graph.n + 1):
             if _decide(graph, prep, t, k, meter)[0] == FEASIBLE:
                 return k, meter.nodes
         return None, meter.nodes
@@ -584,7 +589,7 @@ def test_backjumping_agrees_with_chronological_backtracking():
         """The first verdict other than infeasible, its palette size, its
         witness and the nodes spent."""
         meter = _Meter(SearchBudget(max_nodes=10_000))
-        k = starting_lower_bound(graph, t)
+        k = prep.lower
         while True:
             status, witness = _decide(graph, prep, t, k, meter)
             if status != INFEASIBLE:
@@ -666,7 +671,7 @@ def test_a_completed_greedy_pass_is_the_searchs_first_solution():
         else:
             g = random_graph(rng, n, rng.uniform(0.1, 0.7))
         prep = _prepare(g, t)
-        start = max(starting_lower_bound(g, t), prep.suffix_fresh[0])  # tau_exact's
+        start = prep.lower  # tau_exact's
         for k in range(start, _climb(g, prep, t, start).palette_size + 3):
             greedy = _greedy(g, prep, t, k)
             if greedy is None:
@@ -813,9 +818,12 @@ def test_tau_exact_counts_every_palette_size_on_one_budget():
     out = tau_exact(star5, 3, SearchBudget(max_nodes=33))
     assert (out.status, out.value, out.stats.nodes) == (EXACT, 10, 33)
     # P_6 at t = 4 starts at its fresh-color count, 12 = tau_4, where the
-    # greedy pass closes it
-    out = tau_exact(build_path(6), 4, SearchBudget(max_nodes=2))
-    assert (out.status, out.value, out.stats.nodes) == (EXACT, 12, 0)
+    # greedy pass closes it; so does P_3 + P_6, where P_6 is the second
+    # component of the order and its count is taken on its own
+    p3_p6 = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)])
+    for g in (build_path(6), p3_p6):
+        out = tau_exact(g, 4, SearchBudget(max_nodes=2))
+        assert (out.status, out.value, out.stats.nodes) == (EXACT, 12, 0)
 
 
 def test_tau_exact_prepares_once(monkeypatch):
@@ -831,7 +839,7 @@ def test_tau_exact_prepares_once(monkeypatch):
     monkeypatch.setattr(solver, "_prepare", spy)
     out = tau_exact(build_star(5), 3)
     assert (out.value, out.best_lower) == (10, 10)
-    assert starting_lower_bound(build_star(5), 3) == 9  # two palette sizes
+    assert _prepare(build_star(5), 3).lower == 9  # two palette sizes
     assert calls == [3]
 
 
@@ -858,7 +866,7 @@ def test_tau_exact_runs_each_greedy_cap_once(monkeypatch):
         caps.clear()
         out = tau_exact(g, t, SearchBudget(max_nodes=nodes))
         assert out.status == TIMEOUT and (out.best_lower, out.best_upper) == bracket
-        assert caps[0] == starting_lower_bound(g, t)
+        assert caps[0] == _prepare(g, t).lower
         assert caps == expect  # ascending, so no cap twice
 
 
