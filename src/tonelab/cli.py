@@ -271,21 +271,18 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
                 raise ValueError("family order does not match --n")
         else:
             family = mols.family_for_order(args.n)
-        coloring = constructions.mols_coloring_knn(family, t)
-        graph = cartesian_power(build_complete(args.n), 2)
+        graph, coloring = constructions.mols_coloring_knn(family, t)
         info.update(order=args.n, family_size=family.size)
     elif method == "star":
         if args.k is None:
             raise ValueError("--method star needs --k")
-        coloring = constructions.star_coloring(args.k, t)
-        graph = build_star(args.k)
+        graph, coloring = constructions.star_coloring(args.k, t)
         info["k"] = args.k
     elif method == "multipartite":
         if not args.parts:
             raise ValueError("--method multipartite needs --parts")
         parts = _parse_parts(args.parts)
-        coloring = constructions.multipartite_coloring(parts, t)
-        graph = build_complete_multipartite(parts)
+        graph, coloring = constructions.multipartite_coloring(parts, t)
         info["parts"] = parts
     elif method == "scheme":
         if not args.scheme:
@@ -294,8 +291,7 @@ def _construct(args) -> tuple[Graph, ToneColoring, dict]:
         if args.t not in (None, spec.t):
             raise ValueError(f"scheme {spec.name} is a {spec.t}-tone construction")
         depth = args.depth if args.depth is not None else 2
-        coloring = constructions.tree_scheme_coloring(args.scheme, depth)
-        graph = constructions.scheme_tree(args.scheme, depth)
+        graph, coloring = constructions.tree_scheme_coloring(args.scheme, depth)
         info.update(scheme=args.scheme, depth=depth)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -364,7 +360,7 @@ def _reproduce_rows(table: str) -> list[dict]:
     elif table == "mols-square":
         for n in (3, 5, 7):
             family = mols.family_for_order(n)
-            coloring = constructions.mols_coloring_knn(family, 2)
+            _, coloring = constructions.mols_coloring_knn(family, 2)
             used = colors_used(coloring)
             # Clique lower bound: the squared clique contains K_n, which
             # needs t*n colors outright, so used == t*n certifies equality.
@@ -372,7 +368,7 @@ def _reproduce_rows(table: str) -> list[dict]:
                 {"case": f"tau_2(K_{n}^2)", "expected": 2 * n, "computed": used}
             )
         fam15 = mols.macneish_product(mols.prime_mols(3), mols.prime_mols(5))
-        coloring = constructions.mols_coloring_knn(fam15, 2)
+        _, coloring = constructions.mols_coloring_knn(fam15, 2)
         rows.append(
             {
                 "case": "tau_2(K_15^2) upper witness",

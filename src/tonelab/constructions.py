@@ -8,7 +8,9 @@ permutations that relabels the depth-1 star around every vertex. The
 generic greedy heuristic lives in solver, since it reads the exact
 search's order and constraint lists.
 
-Every construction verifies its own output before returning it.
+Every construction verifies its own output before returning it. The
+parameterised ones (MOLS, star, multipartite, scheme) build their graph
+from their parameters and return it with the coloring verified against it.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def two_tone_via_decomposition(
     return coloring, cert
 
 
-def mols_coloring_knn(family: MolsFamily, t: int) -> ToneColoring:
+def mols_coloring_knn(family: MolsFamily, t: int) -> tuple[Graph, ToneColoring]:
     """t-tone coloring of the squared clique from t mutually orthogonal
     Latin squares on disjoint color ranges.
 
@@ -168,11 +170,11 @@ def mols_coloring_knn(family: MolsFamily, t: int) -> ToneColoring:
     # row a*n + b is vertex (a, b); each row ascends, since L_i < n
     rows = (family.cells[:t] + n * np.arange(t)[:, None, None]).reshape(t, n * n).T
     graph = cartesian_power(build_complete(n), 2)
-    return checked(graph, ToneColoring(t, t * n, rows.tolist()))
+    return graph, checked(graph, ToneColoring(t, t * n, rows.tolist()))
 
 
-def star_coloring(k: int, t: int) -> ToneColoring:
-    """Best available coloring of the k-leaf star.
+def star_coloring(k: int, t: int) -> tuple[Graph, ToneColoring]:
+    """The k-leaf star and the best available coloring of it.
 
     For t >= k the reuse construction is optimal. Below that the exact
     solver decides stars of up to 8 leaves and gets a budget of 0 nodes
@@ -183,29 +185,31 @@ def star_coloring(k: int, t: int) -> ToneColoring:
         raise ValueError("need k >= 1 and t >= 1")
     star = build_star(k)
     if t >= k:
-        return greedy_large_t_coloring(star, t)
-    return tau_exact(star, t, SearchBudget(max_nodes=20_000_000 if k <= 8 else 0)).witness
+        return star, greedy_large_t_coloring(star, t)
+    budget = SearchBudget(max_nodes=20_000_000 if k <= 8 else 0)
+    return star, tau_exact(star, t, budget).witness
 
 
-def multipartite_coloring(parts: Sequence[int], t: int) -> ToneColoring:
+def multipartite_coloring(parts: Sequence[int], t: int) -> tuple[Graph, ToneColoring]:
     """Color each part of a complete multipartite graph with the leaf sets
     of a star coloring, on pairwise disjoint palettes.
 
     Leaves of a star are pairwise at distance 2, exactly the within-part
     constraint; separate parts are fully adjacent and must be disjoint.
-    Heads are dropped, reclaiming their private colors per part.
+    Heads are dropped, reclaiming their private colors per part. Each
+    distinct part size is colored once; star_coloring is deterministic.
     """
     graph = build_complete_multipartite(parts)
+    leaves = {a: star_coloring(a, t)[1].assignment[1:] for a in set(parts)}
     rows: list[list[int]] = []
     base = 0
     for a in parts:
-        star_col = star_coloring(a, t)
-        leaf_rows = star_col.assignment[1:]
+        leaf_rows = leaves[a]
         used = sorted({c for row in leaf_rows for c in row})
         remap = {c: base + i for i, c in enumerate(used)}
         rows.extend(sorted(remap[c] for c in row) for row in leaf_rows)
         base += len(used)
-    return checked(graph, ToneColoring(t, base, rows))
+    return graph, checked(graph, ToneColoring(t, base, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +338,13 @@ def resolve_scheme(name: str) -> SchemeSpec:
     return SCHEMES[key]
 
 
-def scheme_tree(name: str, depth: int) -> Graph:
-    """The truncated regular tree a scheme colors at the given depth."""
-    return build_truncated_regular_tree(resolve_scheme(name).arity, depth)
-
-
-def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
+def tree_scheme_coloring(name: str, depth: int) -> tuple[Graph, ToneColoring]:
     """Color the depth-truncated tree by the scheme's frames (see SchemeSpec).
 
     In the builder's BFS numbering a vertex's adjacency is its parent,
     then its children, so a neighbor's index in it is its slot, and every
-    frame is set before the loop reaches its vertex. The output is
-    verified before return.
+    frame is set before the loop reaches its vertex. Returns the tree
+    and its coloring, verified against it.
     """
     spec = resolve_scheme(name)
     graph = build_truncated_regular_tree(spec.arity, depth)
@@ -356,4 +355,4 @@ def tree_scheme_coloring(name: str, depth: int) -> ToneColoring:
             if w > v:  # a child, not the parent in slot 0
                 frames[w] = compose[slot](frames[v])
     rows = list(map(itemgetter(*spec.root_set), frames))
-    return checked(graph, ToneColoring(spec.t, spec.palette, rows))
+    return graph, checked(graph, ToneColoring(spec.t, spec.palette, rows))

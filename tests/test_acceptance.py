@@ -26,7 +26,7 @@ from tonelab.constructions import (
     greedy_large_t_coloring,
     mols_coloring_knn,
     multipartite_coloring,
-    scheme_tree,
+    resolve_scheme,
     star_coloring,
     tree_scheme_coloring,
     two_tone_via_decomposition,
@@ -36,6 +36,7 @@ from tonelab.graphs import (
     build_complete,
     build_path,
     build_star,
+    build_truncated_regular_tree,
     cartesian_power,
 )
 from tonelab.mols import macneish_product, prime_mols
@@ -123,11 +124,11 @@ def test_criterion_6_mols_colorings_certified():
             prep = _prepare(knn, t)
             assert prep.order[: len(clique)] == clique
             assert prep.suffix_fresh[0] >= t * n
-            coloring = mols_coloring_knn(family, t)
+            _, coloring = mols_coloring_knn(family, t)
             assert verify(knn, coloring).valid
             assert colors_used(coloring) == t * n
     fam15 = macneish_product(prime_mols(3), prime_mols(5))
-    coloring = mols_coloring_knn(fam15, 2)
+    _, coloring = mols_coloring_knn(fam15, 2)
     assert verify(cartesian_power(build_complete(15), 2), coloring).valid
     assert colors_used(coloring) == 30
     print("criterion 6: PASS  t*n colorings verified and clique-certified")
@@ -158,8 +159,8 @@ def test_criterion_8_tree_schemes():
     }
     for name in SCHEMES:
         for depth in range(4):
-            graph = scheme_tree(name, depth)
-            coloring = tree_scheme_coloring(name, depth)
+            graph = build_truncated_regular_tree(resolve_scheme(name).arity, depth)
+            _, coloring = tree_scheme_coloring(name, depth)
             assert coloring.palette_size == expected_palette[name]
             assert verify(graph, coloring).valid
             if name in ("T3_4tone", "T4_4tone"):
@@ -221,11 +222,12 @@ def test_criterion_9_property_suites(tmp_path):
         (build_star(3), greedy_large_t_coloring(build_star(3), 5)),
         (cartesian_power(build_complete(2), 4),
          two_tone_via_decomposition(cartesian_power(build_complete(2), 4))[0]),
-        (cartesian_power(build_complete(5), 2), mols_coloring_knn(prime_mols(5), 3)),
-        (build_star(5), star_coloring(5, 3)),
-        (build_complete(3), multipartite_coloring([1, 1, 1], 2)),
+        (cartesian_power(build_complete(5), 2), mols_coloring_knn(prime_mols(5), 3)[1]),
+        (build_star(5), star_coloring(5, 3)[1]),
+        (build_complete(3), multipartite_coloring([1, 1, 1], 2)[1]),
     ] + [
-        (scheme_tree(name, 2), tree_scheme_coloring(name, 2)) for name in SCHEMES
+        (build_truncated_regular_tree(SCHEMES[name].arity, 2), tree_scheme_coloring(name, 2)[1])
+        for name in SCHEMES
     ]
     for i, (g, col) in enumerate(outputs):
         path = tmp_path / f"roundtrip{i}.col"

@@ -11,7 +11,18 @@ from oracles import bfs_components, is_path, is_tree, random_graph, random_tree
 
 from tonelab import bounds, cli, coloring, constructions, solver
 from tonelab.coloring import load_coloring, save_coloring, ToneColoring, verify
-from tonelab.graphs import Graph, build_gnp, build_path, build_star, load_graph, save_graph
+from tonelab.graphs import (
+    Graph,
+    build_complete,
+    build_complete_multipartite,
+    build_gnp,
+    build_path,
+    build_star,
+    build_truncated_regular_tree,
+    cartesian_power,
+    load_graph,
+    save_graph,
+)
 from tonelab.solver import tau_exact
 
 
@@ -457,7 +468,7 @@ def test_construct_scheme_t_must_match_the_scheme(tmp_path, capsys):
     assert "3-tone" in captured.err
     assert not cpath.exists()
     assert run_main(*common, "--scheme", "T7_3tone", "--t", "3") == 0
-    assert load_coloring(cpath) == constructions.tree_scheme_coloring("T7_3tone", 2)
+    assert load_coloring(cpath) == constructions.tree_scheme_coloring("T7_3tone", 2)[1]
 
 
 def test_construct_scheme_rejects_negative_depth(tmp_path, capsys):
@@ -516,15 +527,19 @@ def test_construct_every_method_round_trips(tmp_path, monkeypatch):
     # coloring.checked
     for module in (cli, coloring):
         monkeypatch.setattr(module, "verify", counting_verify)
+    # each case with the graph its parameters name, built here
     cases = [
-        ["--method", "large-t", "--family", "star", "3", "--t", "5"],
-        ["--method", "decomp2", "--family", "hypercube", "4"],
-        ["--method", "mols", "--n", "5", "--t", "3"],
-        ["--method", "star", "--k", "4", "--t", "2"],
-        ["--method", "multipartite", "--parts", "2,3", "--t", "3"],
-        ["--method", "scheme", "--scheme", "T3_4tone", "--depth", "2"],
+        (["--method", "large-t", "--family", "star", "3", "--t", "5"], build_star(3)),
+        (["--method", "decomp2", "--family", "hypercube", "4"],
+         cartesian_power(build_complete(2), 4)),
+        (["--method", "mols", "--n", "5", "--t", "3"], cartesian_power(build_complete(5), 2)),
+        (["--method", "star", "--k", "4", "--t", "2"], build_star(4)),
+        (["--method", "multipartite", "--parts", "2,3", "--t", "3"],
+         build_complete_multipartite([2, 3])),
+        (["--method", "scheme", "--scheme", "T3_4tone", "--depth", "2"],
+         build_truncated_regular_tree(3, 2)),
     ]
-    for i, extra in enumerate(cases):
+    for i, (extra, reference) in enumerate(cases):
         cpath = tmp_path / f"c{i}.col"
         gpath = tmp_path / f"g{i}.gr"
         calls.clear()
@@ -533,8 +548,10 @@ def test_construct_every_method_round_trips(tmp_path, monkeypatch):
         )
         assert code == 0, extra
         # the emitted colouring is verified once, by the construction itself;
-        # multipartite also verifies the star colouring of each part
+        # multipartite also verifies the star colouring of each part size
         assert calls.count(load_coloring(cpath)) == 1, extra
+        emitted = load_graph(gpath)
+        assert (emitted.n, emitted.edges) == (reference.n, reference.edges), extra
         proc = run_proc("verify", str(gpath), str(cpath))
         assert proc.returncode == 0, (extra, proc.stdout, proc.stderr)
 

@@ -11,8 +11,9 @@ from oracles import (
     random_graph,
     random_tree,
 )
+from tonelab import constructions
 from tonelab.bounds import degree_lower_bound, distance_deficiency
-from tonelab.coloring import colors_used, format_coloring, verify
+from tonelab.coloring import ToneColoring, colors_used, format_coloring, verify
 from tonelab.constructions import (
     SCHEMES,
     greedy_large_t_coloring,
@@ -20,7 +21,6 @@ from tonelab.constructions import (
     mols_coloring_knn,
     multipartite_coloring,
     resolve_scheme,
-    scheme_tree,
     star_coloring,
     tree_scheme_coloring,
     two_tone_via_decomposition,
@@ -31,6 +31,7 @@ from tonelab.graphs import (
     build_complete_multipartite,
     build_path,
     build_star,
+    build_truncated_regular_tree,
     cartesian_power,
 )
 from tonelab.mols import prime_mols
@@ -138,8 +139,8 @@ def test_greedy_proper_coloring_is_proper():
 
 
 def test_mols_coloring_values():
-    assert colors_used(mols_coloring_knn(prime_mols(3), 2)) == 6
-    col = mols_coloring_knn(prime_mols(5), 4)
+    assert colors_used(mols_coloring_knn(prime_mols(3), 2)[1]) == 6
+    _, col = mols_coloring_knn(prime_mols(5), 4)
     assert colors_used(col) == 20
     assert verify(cartesian_power(build_complete(5), 2), col).valid
 
@@ -150,26 +151,69 @@ def test_mols_coloring_family_too_small():
 
 
 def test_star_coloring_values():
-    assert colors_used(star_coloring(3, 4)) == 13
-    assert colors_used(star_coloring(5, 3)) == 10  # via the exact solver
-    assert colors_used(star_coloring(2, 3)) == 8
-    big = star_coloring(12, 2)  # heuristic path for large stars
+    assert colors_used(star_coloring(3, 4)[1]) == 13
+    assert colors_used(star_coloring(5, 3)[1]) == 10  # via the exact solver
+    assert colors_used(star_coloring(2, 3)[1]) == 8
+    _, big = star_coloring(12, 2)  # heuristic path for large stars
     assert verify(build_star(12), big).valid
     assert colors_used(big) >= degree_lower_bound(12, 2)
 
 
 def test_multipartite_coloring():
-    assert colors_used(multipartite_coloring([1, 1], 2)) == 4
-    col = multipartite_coloring([3, 3], 5)
+    assert colors_used(multipartite_coloring([1, 1], 2)[1]) == 4
+    _, col = multipartite_coloring([3, 3], 5)
     assert colors_used(col) == 24  # two parts of the 17-color star leaves
     assert verify(build_complete_multipartite([3, 3]), col).valid
 
 
 def test_multipartite_single_part():
-    col = multipartite_coloring([4], 2)
+    _, col = multipartite_coloring([4], 2)
     for a, b in combinations(range(4), 2):
         shared = set(col.assignment[a]) & set(col.assignment[b])
         assert len(shared) <= 1  # within-part promise even with no edges
+
+
+def test_multipartite_colors_each_part_size_once(monkeypatch):
+    calls = []
+
+    def counting_star_coloring(k, t):
+        calls.append(k)
+        return star_coloring(k, t)
+
+    monkeypatch.setattr(constructions, "star_coloring", counting_star_coloring)
+    for parts in ([5, 5, 5, 5], [4, 4, 6], [2, 3, 2, 3, 2], [1, 1, 1]):
+        calls.clear()
+        _, col = multipartite_coloring(parts, 3)
+        assert sorted(calls) == sorted(set(parts)), parts
+        # part by part: each part's own coloring on the next palette range
+        rows, base = [], 0
+        for a in parts:
+            _, part = multipartite_coloring([a], 3)
+            rows += [[base + c for c in row] for row in part.assignment]
+            base += part.palette_size
+        assert col == ToneColoring(3, base, rows), parts
+
+
+def test_constructions_return_the_graph_they_color():
+    # each parameterised construction returns the graph its coloring was
+    # verified against; it must be the graph its parameters name
+    def same(graph, reference):
+        return graph.n == reference.n and graph.edges == reference.edges
+
+    for n in (3, 5, 7):
+        graph, _ = mols_coloring_knn(prime_mols(n), 2)
+        assert same(graph, cartesian_power(build_complete(n), 2)), n
+    for k in range(1, 9):
+        for t in range(1, 6):
+            graph, _ = star_coloring(k, t)
+            assert same(graph, build_star(k)), (k, t)
+    for parts in ([1], [4], [2, 3], [1, 1, 1], [5, 5, 5, 5], [4, 4, 6], [3, 2, 3]):
+        graph, _ = multipartite_coloring(parts, 3)
+        assert same(graph, build_complete_multipartite(parts)), parts
+    for name, spec in SCHEMES.items():
+        for depth in range(5):
+            graph, _ = tree_scheme_coloring(name, depth)
+            assert same(graph, build_truncated_regular_tree(spec.arity, depth)), (name, depth)
 
 
 def test_greedy_heuristic_paths_and_cliques():
@@ -249,7 +293,7 @@ def test_greedy_heuristic_climb_matches_fixed_cap_climb():
     for k in (9, 10, 12):
         for t in (1, 2, 3):
             start = degree_lower_bound(k, t) if t >= 2 else 2
-            assert star_coloring(k, t) == fixed_cap_climb(build_star(k), t, start)
+            assert star_coloring(k, t)[1] == fixed_cap_climb(build_star(k), t, start)
 
 
 def test_scheme_registry():
@@ -261,11 +305,11 @@ def test_scheme_registry():
 
 def test_scheme_seed_tables_pinned():
     # 3-tone, 4-regular seed rows
-    col = tree_scheme_coloring("T4_3tone", 1)
+    _, col = tree_scheme_coloring("T4_3tone", 1)
     assert col.assignment[0] == (0, 1, 2)
     assert col.assignment[1:] == ((3, 4, 5), (3, 6, 7), (4, 6, 8), (5, 7, 8))
     # 3-tone, 7-regular: root (123) and its seven children
-    col = tree_scheme_coloring("T7_3tone_fano", 1)
+    _, col = tree_scheme_coloring("T7_3tone_fano", 1)
     assert col.assignment[0] == (1, 2, 3)
     assert col.assignment[1:] == (
         (4, 5, 6),
@@ -277,7 +321,7 @@ def test_scheme_seed_tables_pinned():
         (0, 4, 9),
     )
     # 4-tone, 3-regular: root (1234), then the fixed child and grandchild rows
-    col = tree_scheme_coloring("T3_4tone", 2)
+    _, col = tree_scheme_coloring("T3_4tone", 2)
     assert col.assignment[0] == (1, 2, 3, 4)
     assert col.assignment[1:4] == ((5, 6, 7, 8), (0, 5, 9, 10), (6, 9, 11, 12))
     expected_level2 = [
@@ -290,7 +334,7 @@ def test_scheme_seed_tables_pinned():
     ]
     assert [set(row) for row in col.assignment[4:]] == expected_level2
     # 4-tone, 4-regular: the twelve fixed second-level rows
-    col = tree_scheme_coloring("T4_4tone", 2)
+    _, col = tree_scheme_coloring("T4_4tone", 2)
     expected = [
         {2, 9, 11, 13},
         {3, 11, 0, 10},
@@ -308,7 +352,7 @@ def test_scheme_seed_tables_pinned():
     assert [set(row) for row in col.assignment[5:]] == expected
 
 
-# SHA-256 of format_coloring(tree_scheme_coloring(name, d)) for d = 3, 4, 5,
+# SHA-256 of format_coloring(tree_scheme_coloring(name, d)[1]) for d = 3, 4, 5,
 # recorded from the transfer-table frames. Depth 3 of T4_3tone, T3_4tone and
 # T4_4tone keeps the bytes of the level-by-level rules the tables replaced.
 SCHEME_DIGESTS = {
@@ -339,15 +383,15 @@ def test_scheme_colorings_pinned_past_depth_two():
     assert set(SCHEME_DIGESTS) == set(SCHEMES)
     for name, digests in SCHEME_DIGESTS.items():
         for depth, digest in zip((3, 4, 5), digests):
-            text = format_coloring(tree_scheme_coloring(name, depth))
+            text = format_coloring(tree_scheme_coloring(name, depth)[1])
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, depth)
 
 
 def test_schemes_verify_at_all_depths():
     for name, scheme_def in SCHEMES.items():
         for depth in range(4):
-            col = tree_scheme_coloring(name, depth)
-            graph = scheme_tree(name, depth)
+            _, col = tree_scheme_coloring(name, depth)
+            graph = build_truncated_regular_tree(resolve_scheme(name).arity, depth)
             assert col.palette_size == scheme_def.palette
             assert verify(graph, col).valid
             if depth == 0:
@@ -383,8 +427,8 @@ def test_schemes_generalize_to_depth_four():
     # SchemeSpec), and depths 5-6 check that argument on the smaller trees
     for name, spec in SCHEMES.items():
         for depth in (4, 5, 6) if spec.arity <= 4 else (4,):
-            graph = scheme_tree(name, depth)
-            col = tree_scheme_coloring(name, depth)
+            graph = build_truncated_regular_tree(resolve_scheme(name).arity, depth)
+            _, col = tree_scheme_coloring(name, depth)
             assert verify(graph, col).valid, (name, depth)
             if name in ("T3_4tone", "T4_4tone"):
                 assert four_tone_conditions(graph, col) is None, (name, depth)
@@ -424,16 +468,16 @@ def four_tone_conditions(graph, col):
 def test_four_tone_scheme_conditions():
     for name in ("T3_4tone", "T4_4tone"):
         for depth in range(4):
-            graph = scheme_tree(name, depth)
-            col = tree_scheme_coloring(name, depth)
+            graph = build_truncated_regular_tree(resolve_scheme(name).arity, depth)
+            _, col = tree_scheme_coloring(name, depth)
             assert four_tone_conditions(graph, col) is None
 
 
 def test_three_tone_schemes_distance2_share():
     # the inductive invariant: distance-2 pairs always share a color
     for name in ("T4_3tone", "T7_3tone_fano"):
-        graph = scheme_tree(name, 3)
-        col = tree_scheme_coloring(name, 3)
+        graph = build_truncated_regular_tree(resolve_scheme(name).arity, 3)
+        _, col = tree_scheme_coloring(name, 3)
         sets = [set(row) for row in col.assignment]
         dist = floyd_warshall(graph)
         for u in range(graph.n):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oracles import random_graph
+from oracles import brute_force_tau, random_graph
 from tonelab.graphs import build_path
 from tonelab.sat_export import encode_decision_cnf
 from tonelab.solver import FEASIBLE, feasible
@@ -44,7 +44,8 @@ def test_encoding_rejects_bad_parameters():
 
 
 def test_encoding_agrees_with_search_on_random_instances():
-    # truth-table equivalence: SAT iff the search says feasible
+    # truth-table equivalence: SAT iff the search says feasible, and iff
+    # the independent brute-force oracle finds a coloring
     rng = random.Random(41)
     trials = 0
     while trials < 8:
@@ -59,4 +60,5 @@ def test_encoding_agrees_with_search_on_random_instances():
         sat = satisfiable(nvars, clauses)
         search = feasible(g, t, k).status == FEASIBLE
         assert sat == search, (sorted(g.edges), t, k)
+        assert sat == (brute_force_tau(g, t, k) is not None), (sorted(g.edges), t, k)
         trials += 1
