@@ -188,42 +188,22 @@ def bound_rows(graph: Graph, t: int, parts: list[int] | None = None) -> list[dic
         note = "needs t >= 2 and an edge"
     elif t == 2 and tree:
         kind, note = "exact", note + "; exact on trees at t = 2"
-    rows = [{"source": "degree", "kind": kind, "value": degree, "note": note}]
+    rows = [("degree", kind, degree, note)]
     pairsum = bounds.component_pairsum(graph, t)
     note = pairsum.reason
     if pairsum.value < t:
         note += f"; below the trivial bound t = {t}"
-    rows.append(
-        {"source": "pairsum", "kind": pairsum.kind, "value": pairsum.value, "note": note}
-    )
+    rows.append(("pairsum", pairsum.kind, pairsum.value, note))
     if tree and delta <= 2:
-        rows.append(
-            {
-                "source": "path_formula",
-                "kind": "exact",
-                "value": bounds.path_formula(graph.n, t),
-                "note": f"path on {graph.n} vertices",
-            }
-        )
+        n = graph.n
+        rows.append(("path_formula", "exact", bounds.path_formula(n, t), f"path on {n} vertices"))
     if parts is not None and len(parts) >= 2 and t >= 2:
         low = bounds.multipartite_lower(parts, t)
-        rows.append(
-            {
-                "source": "multipartite_real",
-                "kind": "lower",
-                "value": round(low.real_value, 6),
-                "note": "sum of per-part square roots",
-            }
-        )
-        rows.append(
-            {
-                "source": "multipartite_integer",
-                "kind": "lower",
-                "value": low.integer_value,
-                "note": "per-part pair counting, solved exactly",
-            }
-        )
-    return rows
+        note = "sum of per-part square roots"
+        rows.append(("multipartite_real", "lower", round(low.real_value, 6), note))
+        note = "per-part pair counting, solved exactly"
+        rows.append(("multipartite_integer", "lower", low.integer_value, note))
+    return [dict(zip(("source", "kind", "value", "note"), row)) for row in rows]
 
 
 def cmd_bound(args) -> int:
@@ -312,83 +292,59 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-TABLES = ["tone3-stars", "tone4-stars", "prop73", "mols-square", "paths"]
+def _tau(graph: Graph, t: int) -> int | str:
+    """tau_t(graph), or ``timeout@LOWER`` when the search gives up."""
+    out = solver.tau_exact(graph, t)
+    return out.value if out.status == solver.EXACT else f"timeout@{out.best_lower}"
+
+
+def _knn_colors(family: mols.MolsFamily) -> int:
+    """Colors used by the family's 2-tone coloring of the squared clique."""
+    _, coloring = constructions.mols_coloring_knn(family, 2)
+    return colors_used(coloring)
+
+
+# table name -> its (case, expected, computed) triples, in print order
+_TABLE_ROWS = {
+    "tone3-stars": lambda: [
+        (f"tau_3(S_{delta})", expected, _tau(build_star(delta), 3))
+        for delta, expected in [(2, 8), (3, 9), (4, 9), (5, 10)]
+    ],
+    "tone4-stars": lambda: [
+        (f"tau_4(S_{k})", expected, _tau(build_star(k), 4))
+        for k, expected in [(2, 11), (3, 13), (4, 14)]
+    ],
+    "prop73": lambda: [
+        ("tau_5(S_3)", 17, _tau(build_star(3), 5)),
+        (
+            "S_3 + two vertices on a leaf, t=5, k=17",
+            "infeasible",
+            solver.feasible(Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), 5, 17).status,
+        ),
+    ],
+    # Clique lower bound: the squared clique contains K_n, which needs t*n
+    # colors outright, so used == t*n certifies equality.
+    "mols-square": lambda: [
+        *((f"tau_2(K_{n}^2)", 2 * n, _knn_colors(mols.family_for_order(n))) for n in (3, 5, 7)),
+        (
+            "tau_2(K_15^2) upper witness",
+            30,
+            _knn_colors(mols.macneish_product(mols.prime_mols(3), mols.prime_mols(5))),
+        ),
+    ],
+    "paths": lambda: [
+        (f"tau_{t}(P_{n})", bounds.path_formula(n, t), _tau(build_path(n), t))
+        for n in range(1, 7)
+        for t in range(1, 5)
+    ],
+}
+TABLES = list(_TABLE_ROWS)
 
 
 def _reproduce_rows(table: str) -> list[dict]:
-    rows: list[dict] = []
-
-    def solve_value(graph, t):
-        out = solver.tau_exact(graph, t)
-        return out.value if out.status == solver.EXACT else f"timeout@{out.best_lower}"
-
-    if table == "tone3-stars":
-        for delta, expected in [(2, 8), (3, 9), (4, 9), (5, 10)]:
-            rows.append(
-                {
-                    "case": f"tau_3(S_{delta})",
-                    "expected": expected,
-                    "computed": solve_value(build_star(delta), 3),
-                }
-            )
-    elif table == "tone4-stars":
-        for k, expected in [(2, 11), (3, 13), (4, 14)]:
-            rows.append(
-                {
-                    "case": f"tau_4(S_{k})",
-                    "expected": expected,
-                    "computed": solve_value(build_star(k), 4),
-                }
-            )
-    elif table == "prop73":
-        rows.append(
-            {
-                "case": "tau_5(S_3)",
-                "expected": 17,
-                "computed": solve_value(build_star(3), 5),
-            }
-        )
-        bigger = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-        res = solver.feasible(bigger, 5, 17)
-        rows.append(
-            {
-                "case": "S_3 + two vertices on a leaf, t=5, k=17",
-                "expected": "infeasible",
-                "computed": res.status,
-            }
-        )
-    elif table == "mols-square":
-        for n in (3, 5, 7):
-            family = mols.family_for_order(n)
-            _, coloring = constructions.mols_coloring_knn(family, 2)
-            used = colors_used(coloring)
-            # Clique lower bound: the squared clique contains K_n, which
-            # needs t*n colors outright, so used == t*n certifies equality.
-            rows.append(
-                {"case": f"tau_2(K_{n}^2)", "expected": 2 * n, "computed": used}
-            )
-        fam15 = mols.macneish_product(mols.prime_mols(3), mols.prime_mols(5))
-        _, coloring = constructions.mols_coloring_knn(fam15, 2)
-        rows.append(
-            {
-                "case": "tau_2(K_15^2) upper witness",
-                "expected": 30,
-                "computed": colors_used(coloring),
-            }
-        )
-    elif table == "paths":
-        for n in range(1, 7):
-            for t in range(1, 5):
-                rows.append(
-                    {
-                        "case": f"tau_{t}(P_{n})",
-                        "expected": bounds.path_formula(n, t),
-                        "computed": solve_value(build_path(n), t),
-                    }
-                )
-    else:
+    if table not in _TABLE_ROWS:
         raise ValueError(f"unknown table {table!r}")
-    return rows
+    return [dict(zip(("case", "expected", "computed"), row)) for row in _TABLE_ROWS[table]()]
 
 
 def cmd_reproduce(args) -> int:

@@ -4,7 +4,9 @@ A t-tone coloring assigns every vertex a set of t distinct colors; a pair
 of vertices at distance d may share at most d-1 colors. The constraint is
 vacuous beyond distance t (sets have size t), so the verifier only walks
 the distance-t ball of each vertex; its memory grows with one ball, not
-with n^2. Disconnected pairs are unconstrained.
+with n^2. Disconnected pairs are unconstrained. The color-set bitmasks
+index the colors in use by rank, not by value, so a color index may be
+any size below the palette.
 """
 
 from __future__ import annotations
@@ -46,17 +48,25 @@ class ToneColoring:
         return len(self.assignment)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Color sets as bitmasks; intersections via popcount.
+    def colors(self) -> tuple[int, ...]:
+        """The distinct colors in use, ascending."""
+        return tuple(sorted({c for row in self.assignment for c in row}))
 
-        Python ints are arbitrary width, so the bitmask route works for
-        any palette size, not just <= 128.
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Color sets as bitmasks over the ranks of `colors`; intersections
+        via popcount.
+
+        Renaming each color to its rank is a bijection, so every shared
+        count is kept, and a mask is as wide as the number of colors in
+        use, whatever their values.
         """
+        rank = {c: i for i, c in enumerate(self.colors)}
         out = []
         for row in self.assignment:
             m = 0
             for c in row:
-                m |= 1 << c
+                m |= 1 << rank[c]
             out.append(m)
         return tuple(out)
 
@@ -78,10 +88,7 @@ class VerificationReport:
 
 def colors_used(coloring: ToneColoring) -> int:
     """Number of distinct color indices appearing in the assignment."""
-    seen: set[int] = set()
-    for row in coloring.assignment:
-        seen.update(row)
-    return len(seen)
+    return len(coloring.colors)
 
 
 def verify(graph: Graph, coloring: ToneColoring) -> VerificationReport:

@@ -242,12 +242,43 @@ BOUND_JSON = {
         '"value": 8}, {"kind": "lower", "note": "equality needs t >= 14", '
         '"source": "pairsum", "value": 4}], "instance": "hypercube 3", "t": 3}\n'
     ),
+    ('path 3', 1): (
+        '{"bounds": [{"kind": "lower", "note": "needs t >= 2 and an edge", '
+        '"source": "degree", "value": null}, {"kind": "lower", '
+        '"note": "equality needs t >= 2", "source": "pairsum", "value": 2}, '
+        '{"kind": "exact", "note": "path on 3 vertices", "source": "path_formula", '
+        '"value": 2}], "instance": "path 3", "t": 1}\n'
+    ),
 }
 
 
 def test_bound_json_bytes_are_pinned(capsys):
     for (family, t), expected in BOUND_JSON.items():
         assert run_main("bound", "--family", *family.split(), "--t", str(t), "--json") == 0
+        assert capsys.readouterr().out == expected, (family, t)
+
+
+# bound in human mode: a row per formula, "n/a" for a bound that does not apply
+BOUND_TEXT = {
+    ('multipartite 2,3', 3): (
+        "bounds for multipartite 2,3 at t=3\n"
+        "  degree                 lower  8          max degree 3\n"
+        "  pairsum                lower  11         equality needs t >= 4\n"
+        "  multipartite_real      lower  7.706742   sum of per-part square roots\n"
+        "  multipartite_integer   lower  9          per-part pair counting, solved exactly\n"
+    ),
+    ('multipartite 3', 2): (
+        "bounds for multipartite 3 at t=2\n"
+        "  degree                 lower  n/a        needs t >= 2 and an edge\n"
+        "  pairsum                exact  2          "
+        "equality hypothesis holds; max over 3 components\n"
+    ),
+}
+
+
+def test_bound_text_bytes_are_pinned(capsys):
+    for (family, t), expected in BOUND_TEXT.items():
+        assert run_main("bound", "--family", *family.split(), "--t", str(t)) == 0
         assert capsys.readouterr().out == expected, (family, t)
 
 
@@ -607,6 +638,20 @@ def test_reproduce_tables_pass(capsys):
     for table, line in zip(cli.TABLES, lines):
         assert run_main("reproduce", "--table", table, "--json") == 0
         assert capsys.readouterr().out == line + "\n"
+
+
+# sha256 of reproduce --table all's stdout, in --json and in human mode
+REPRODUCE_SHA256 = {
+    ("--json",): "03195550f4a977c7f629959fc2d2c1890426859802a99deea70492482bbe7b61",
+    (): "3f869aaa48c1cb8f53a1be56f8b9027a00f7d5ef5bd88177c847a099dc401d19",
+}
+
+
+def test_reproduce_bytes_are_pinned(capsys):
+    for flags, digest in REPRODUCE_SHA256.items():
+        assert run_main("reproduce", "--table", "all", *flags) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, flags
 
 
 def test_reproduce_all_runs_every_table_and_exits_worst(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -67,6 +68,24 @@ def test_verify_disconnected_pairs_unconstrained():
 def test_verify_rejects_wrong_cover():
     with pytest.raises(ValueError):
         verify(build_path(3), ToneColoring(2, 4, [[0, 1], [2, 3]]))
+
+
+def test_verify_memory_follows_colors_in_use_not_their_values():
+    # a mask bit per color in use: a color of 10**9 costs one bit, not 125 MB
+    big = 10**9
+    coloring = ToneColoring(1, big + 1, [[big]])
+    tracemalloc.start()
+    try:
+        report = verify(Graph(1, []), coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid and report.colors_used == 1
+    assert peak < 2**20
+    # renaming colors by rank keeps every shared count
+    path = ToneColoring(2, big + 2, [[0, big], [big, big + 1], [0, 1]])
+    assert path.colors == (0, 1, big, big + 1)
+    assert verify(build_path(3), path).violations == ((0, 1, 1, 1),)
 
 
 def test_colors_used():
