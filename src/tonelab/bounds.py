@@ -121,12 +121,14 @@ def component_pairsum(graph: Graph, t: int) -> BoundReport:
     the kind and the note. The note is the report's reason, set also when
     it is exact; with more than one component it ends with their count.
 
-    A component is built only when it can win. Every non-adjacent pair in
-    a connected component has d - 1 >= 1, so its value is at most the
-    estimate t*n_c - (C(n_c, 2) - m_c). Components are visited by
-    descending estimate, ties in component order, and the visit stops at
-    the first one whose estimate cannot beat the best so far under the
-    first-max rule: neither can any after it.
+    A connected graph is measured in place, with no copy. A component of
+    a disconnected one is built, as an induced subgraph, only when it can
+    win. Every non-adjacent pair in a connected component has d - 1 >= 1,
+    so its value is at most the estimate t*n_c - (C(n_c, 2) - m_c).
+    Components are visited by descending estimate, ties in component
+    order, and the visit stops at the first one whose estimate cannot
+    beat the best so far under the first-max rule: neither can any after
+    it.
 
     The report is exact only when every component's is: a larger
     tau_t on a component whose equality hypothesis t >= (n_c - 1)(D_c - 1)
@@ -139,6 +141,7 @@ def component_pairsum(graph: Graph, t: int) -> BoundReport:
     if graph.n == 0:
         raise ValueError("empty graph")
     comps = connected_components(graph)
+    component = graph.induced_subgraph if len(comps) > 1 else lambda _: graph
     degrees = graph.degrees
     sizes = [(len(c), sum(degrees[v] for v in c) // 2) for c in comps]
     estimate = [t * n_c - (n_c * (n_c - 1) // 2 - m_c) for n_c, m_c in sizes]
@@ -148,7 +151,7 @@ def component_pairsum(graph: Graph, t: int) -> BoundReport:
         # (value, -index) orders reports so that the first max is largest
         if reports and (estimate[i], -i) < (reports[best].value, -best):
             break
-        reports[i] = pairsum_bound(graph.induced_subgraph(comps[i]), t)
+        reports[i] = pairsum_bound(component(comps[i]), t)
         if best < 0 or (reports[i].value, -i) > (reports[best].value, -best):
             best = i
     win = reports[best]
@@ -162,7 +165,7 @@ def component_pairsum(graph: Graph, t: int) -> BoundReport:
             any(r.kind != "exact" for r in reports.values())
             or any(t < sizes[i][0] - 1 for i in unbuilt)
             or any(
-                pairsum_bound(graph.induced_subgraph(comps[i]), t).kind != "exact"
+                pairsum_bound(component(comps[i]), t).kind != "exact"
                 for i in unbuilt
             )
         ):

@@ -5,6 +5,9 @@ canonical numbering so that witnesses and certificates are reproducible:
 paths in path order, star head at 0, multipartite parts contiguous,
 products in row-major coordinate order, trees in BFS level order.
 
+A graph is held once, as its sorted adjacency: builders stream their
+edges into Graph as generators and build no edge list or set.
+
 Every breadth-first search in the package is one distance_levels sweep:
 one BFS per source, cut at a depth cap, all of them sharing one stamped
 visited list. A t-tone constraint is vacuous past distance t, so every
@@ -17,73 +20,78 @@ Graph is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-@dataclass(eq=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    It keeps n and adjacency, one ascending tuple of distinct neighbours
+    per vertex, and no edge list or set: m, degrees (cached on first
+    read), sorted_edges() and the edges view are read off the adjacency.
+    An edge (u, v) may come in either orientation and more than once; it
+    is checked as it streams in, a self-loop before a range error.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(norm)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        self.n = n
+        self.adjacency = tuple(tuple(sorted(set(a))) for a in adj)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
+
+    @property
+    def m(self) -> int:
+        return sum(self.degrees) // 2
 
     @property
     def max_degree(self) -> int:
         return max(self.degrees) if self.n else 0
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Edges (u, v), u < v, ascending; the adjacency is already in order."""
+        return [(u, v) for u, a in enumerate(self.adjacency) for v in a if u < v]
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set (u, v), u < v, built afresh on each read."""
+        return frozenset(self.sorted_edges())
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is vertices[i].
 
         Reads only the adjacency of the chosen vertices, so a small
-        component of a large graph costs its own size, not m.
+        component of a large graph costs its own size, not m. A vertex
+        outside 0..n-1 raises ValueError.
         """
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise ValueError("duplicate vertices in induced subgraph")
+        for v in index:
+            if not 0 <= v < self.n:  # a negative index would alias a vertex
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
         adjacency = self.adjacency
-        sub = [
+        return Graph(len(vertices), (
             (i, index[w])
             for v, i in index.items()
             for w in adjacency[v]
             if v < w and w in index
-        ]
-        return Graph(len(vertices), sub)
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -171,14 +179,14 @@ def build_path(n: int) -> Graph:
     """Path on n vertices, numbered in path order."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def build_star(k: int) -> Graph:
     """Star with k leaves; vertex 0 is the head, 1..k the leaves."""
     if k < 1:
         raise ValueError("star needs at least one leaf")
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+    return Graph(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def build_complete_multipartite(parts: Sequence[int]) -> Graph:
@@ -187,20 +195,15 @@ def build_complete_multipartite(parts: Sequence[int]) -> Graph:
         raise ValueError("at least one part required")
     if any(a < 1 for a in parts):
         raise ValueError("part sizes must be positive")
-    n = sum(parts)
-    starts = []
-    acc = 0
-    for a in parts:
-        starts.append(acc)
-        acc += a
-    edges = []
-    for i, a in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            b = parts[j]
-            for u in range(starts[i], starts[i] + a):
-                for v in range(starts[j], starts[j] + b):
-                    edges.append((u, v))
-    return Graph(n, edges)
+    ends = list(accumulate(parts))
+    n = ends[-1]
+    # each vertex is adjacent to every vertex after the end of its part
+    return Graph(n, (
+        (u, v)
+        for a, end in zip(parts, ends)
+        for u in range(end - a, end)
+        for v in range(end, n)
+    ))
 
 
 def build_complete(n: int) -> Graph:
@@ -216,15 +219,11 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("product factors must be nonempty")
-    n = g.n * h.n
-    edges = []
-    for u in range(g.n):
-        for a, b in h.edges:
-            edges.append((u * h.n + a, u * h.n + b))
-    for a, b in g.edges:
-        for v in range(h.n):
-            edges.append((a * h.n + v, b * h.n + v))
-    return Graph(n, edges)
+    hn, h_edges = h.n, h.sorted_edges()
+    return Graph(g.n * hn, chain(
+        ((u * hn + a, u * hn + b) for u in range(g.n) for a, b in h_edges),
+        ((a * hn + v, b * hn + v) for a, b in g.sorted_edges() for v in range(hn)),
+    ))
 
 
 def cartesian_power(g: Graph, b: int) -> Graph:
@@ -251,19 +250,13 @@ def build_truncated_regular_tree(delta: int, depth: int) -> Graph:
         raise ValueError("delta must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    edges = []
-    next_vertex = 1
-    level = [0]
-    for lev in range(depth):
-        children_per = delta if lev == 0 else delta - 1
-        new_level = []
-        for parent in level:
-            for _ in range(children_per):
-                edges.append((parent, next_vertex))
-                new_level.append(next_vertex)
-                next_vertex += 1
-        level = new_level
-    return Graph(next_vertex, edges)
+    n = 1 + delta * sum((delta - 1) ** i for i in range(depth))
+    # vertices 1..n-1 in order: the root's delta children, then delta - 1
+    # children of each vertex 1, 2, ... in turn
+    parents = chain(
+        repeat(0, delta), chain.from_iterable(repeat(p, delta - 1) for p in range(1, n))
+    )
+    return Graph(n, zip(parents, range(1, n)))
 
 
 _GNP_CHUNK = 1 << 16  # uniforms per draw in build_gnp
@@ -279,6 +272,7 @@ def build_gnp(n: int, p: float, seed: int) -> Graph:
     graph bit-exactly on any platform. The uniforms are drawn in fixed
     chunks, which continue one stream exactly as a single long draw would,
     and each hit's flat pair index is mapped back to its row and column.
+    Graph reads the pairs chunk by chunk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -288,12 +282,14 @@ def build_gnp(n: int, p: float, seed: int) -> Graph:
     rows = np.arange(n - 1, dtype=np.int64)
     starts = rows * (2 * n - 1 - rows) // 2  # flat index of the pair (u, u+1)
     total = n * (n - 1) // 2
-    edges = []
-    for base in range(0, total, _GNP_CHUNK):
-        hits = base + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - base)) < p)
-        u = np.searchsorted(starts, hits, side="right") - 1
-        edges.extend(zip(u.tolist(), (hits - starts[u] + u + 1).tolist()))
-    return Graph(n, edges)
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        for base in range(0, total, _GNP_CHUNK):
+            hits = base + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - base)) < p)
+            u = np.searchsorted(starts, hits, side="right") - 1
+            yield from zip(u.tolist(), (hits - starts[u] + u + 1).tolist())
+
+    return Graph(n, pairs())
 
 
 def format_graph(graph: Graph) -> str:

@@ -404,6 +404,22 @@ def test_bound_rows_build_only_components_that_can_win(monkeypatch):
         assert (rows["pairsum"]["kind"], calls) == (kind, built)
 
 
+def test_bound_rows_measure_a_connected_graph_in_place(monkeypatch):
+    graphs = [
+        cartesian_power(build_complete(2), 4),
+        build_complete_multipartite([2, 3, 4]),
+        build_path(6),
+        build_truncated_regular_tree(3, 3),
+    ]
+    expect = [[cli.bound_rows(g, t) for t in (1, 2, 3, 5)] for g in graphs]
+
+    def fail(*args):
+        pytest.fail("a connected graph was copied")
+
+    monkeypatch.setattr(Graph, "induced_subgraph", fail)
+    assert [[cli.bound_rows(g, t) for t in (1, 2, 3, 5)] for g in graphs] == expect
+
+
 SOUNDNESS_FAMILIES = BOUND_FAMILIES + [
     ["multipartite", "1"], ["multipartite", "2"], ["multipartite", "3,1"],
 ]

@@ -177,6 +177,20 @@ def test_truncated_tree_numbering_contract():
         assert parents == sorted(parents), (delta, depth)
 
 
+def test_truncated_tree_matches_a_level_by_level_build():
+    for delta, depth in [(2, 5), (3, 4), (5, 3), (9, 2), (4, 0)]:
+        edges, level, n = [], [0], 1
+        for lev in range(depth):
+            children, level = level, []
+            for parent in children:
+                for _ in range(delta if lev == 0 else delta - 1):
+                    edges.append((parent, n))
+                    level.append(n)
+                    n += 1
+        tree = build_truncated_regular_tree(delta, depth)
+        assert (tree.n, tree.sorted_edges()) == (n, edges), (delta, depth)
+
+
 def test_gnp_extremes_and_determinism():
     assert build_gnp(6, 0.0, 1).m == 0
     assert build_gnp(6, 1.0, 1).edges == build_complete(6).edges
@@ -441,3 +455,23 @@ def test_induced_subgraph():
     g = build_path(5)
     h = g.induced_subgraph([0, 1, 3])
     assert h.n == 3 and h.edges == frozenset({(0, 1)})
+
+
+def test_induced_subgraph_rejects_a_vertex_out_of_range():
+    g = build_path(4)
+    for vertices in ([-1, 2], [0, 9]):  # -1 would alias vertex 3
+        with pytest.raises(ValueError, match="out of range"):
+            g.induced_subgraph(vertices)
+
+
+def test_graph_holds_one_copy_of_its_edges():
+    # the sorted adjacency is the one copy: no edge set, and no edge list
+    # built by the builder on the way in
+    tracemalloc.start()
+    try:
+        g = build_complete_multipartite([200, 300, 400])
+        g.adjacency
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * g.m, f"{peak / g.m:.0f} bytes per edge"
