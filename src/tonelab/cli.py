@@ -86,14 +86,19 @@ def resolve_family(tokens: list[str]) -> tuple[Graph, str]:
         raise ValueError(f"bad --family arguments for {name!r}: {exc}") from exc
 
 
+def _read(load, kind: str, path):
+    """``load(path)``, naming the file in the error when it cannot be read."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {kind} {path!r}: {exc}") from exc
+
+
 def _input_graph(args) -> tuple[Graph, str]:
     if getattr(args, "family", None):
         return resolve_family(args.family)
     if getattr(args, "graph", None):
-        try:
-            graph = load_graph(args.graph)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot read graph {args.graph!r}: {exc}") from exc
+        graph = _read(load_graph, "graph", args.graph)
         if graph.n == 0:
             raise ValueError("empty graph")
         return graph, args.graph
@@ -112,8 +117,8 @@ def _budget(args) -> solver.SearchBudget:
 
 
 def cmd_verify(args) -> int:
-    graph = load_graph(args.graph)
-    coloring = load_coloring(args.coloring)
+    graph = _read(load_graph, "graph", args.graph)
+    coloring = _read(load_coloring, "coloring", args.coloring)
     report = verify(graph, coloring)
     if args.json:
         _emit(

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,36 +118,30 @@ def two_tone_via_decomposition(
         raise ValueError("empty graph")
     proper = greedy_proper_coloring(graph)
     khat = max(proper) + 1
-    classes: list[list[int]] = [[] for _ in range(khat)]
-    local = [0] * graph.n  # index of each vertex inside its class
-    for v in range(graph.n):
-        local[v] = len(classes[proper[v]])
-        classes[proper[v]].append(v)
     # same-class vertices are never adjacent, so a same-class member of
-    # a distance-2 ball other than v itself sits at distance exactly 2
-    class_edges: list[list[tuple[int, int]]] = [[] for _ in range(khat)]
-    for v, levels in distance_levels(graph, range(graph.n), 2):
-        i = proper[v]
-        for level in levels[1:]:
-            for w in level:
-                if w > v and proper[w] == i:
-                    class_edges[i].append((local[v], local[w]))
-    rows: list[Optional[list[int]]] = [None] * graph.n
-    pair_classes = []
-    base = 0
-    for members, sub_edges in zip(classes, class_edges):
-        sub = Graph(len(members), sub_edges)
-        sub_color = greedy_proper_coloring(sub)
-        m_i = max(sub_color) + 1
-        # s = ceil(sqrt(2 m_i)) gives C(s+1, 2) >= s^2/2 >= m_i pairs
-        size = 1 + _iceil_sqrt(2 * m_i)
-        pairs = list(combinations(range(size), 2))
-        for idx, v in enumerate(members):
-            a, b = pairs[sub_color[idx]]
-            rows[v] = [base + a, base + b]
-        pair_classes.append(m_i)
-        base += size
-    coloring = checked(graph, ToneColoring(2, base, rows))
+    # a distance-2 ball other than v itself sits at distance exactly 2.
+    # Classes share no such pair, so one greedy pass colors each class's
+    # pairs as a pass over that class alone would: its order, by degree
+    # and then index, keeps each class's members in their relative order
+    code = greedy_proper_coloring(Graph(graph.n, (
+        (v, w)
+        for v, levels in distance_levels(graph, range(graph.n), 2)
+        for level in levels[1:]
+        for w in level
+        if w > v and proper[w] == proper[v]
+    )))
+    pair_classes = [0] * khat
+    for i, c in zip(proper, code):
+        pair_classes[i] = max(pair_classes[i], c + 1)
+    # s = ceil(sqrt(2 m_i)) gives C(s+1, 2) >= s^2/2 >= m_i pairs
+    sizes = [1 + _iceil_sqrt(2 * m_i) for m_i in pair_classes]
+    bases = list(accumulate(sizes, initial=0))
+    pairs = [list(combinations(range(size), 2)) for size in sizes]
+    rows = []
+    for i, c in zip(proper, code):
+        a, b = pairs[i][c]
+        rows.append([bases[i] + a, bases[i] + b])
+    coloring = checked(graph, ToneColoring(2, bases[-1], rows))
     cert = DecompositionCertificate(khat, tuple(pair_classes))
     return coloring, cert
 

@@ -208,6 +208,8 @@ def build_complete_multipartite(parts: Sequence[int]) -> Graph:
 
 def build_complete(n: int) -> Graph:
     """Complete graph K_n."""
+    if n < 1:
+        raise ValueError("complete graph needs at least one vertex")
     return build_complete_multipartite([1] * n)
 
 

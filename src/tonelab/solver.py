@@ -91,13 +91,17 @@ of the stream's sets, as long as the class rule cuts nothing. The class
 rule reads every earlier set, so while it can cut (some class holds two
 colors below the stream's palette), the culprits are every earlier
 position, and the stream backs up one position, as a plain chronological
-search does. Any further symmetry rule, such as breaking graph
-automorphisms, must name the positions its cut reads as culprits, or
-fall back to every earlier position in the same way. The search still
-visits the candidates of each stream in order, and it skips only
-subtrees without an admissible coloring, so it meets the same first
-solution, in at most as many nodes; the node definition below is
-unchanged.
+search does. One function, _culprits, holds this rule and reads it off
+the sets placed when the stream runs dry. So the search keeps no culprit
+mask per position: per position it reaches it holds a stream, the class
+starts and a conflict set, which stays empty until a dead end jumps
+there, and its memory is linear in the positions it reaches. Any further
+symmetry rule, such as breaking graph automorphisms, must name in
+_culprits the positions its cut reads as culprits, or fall back to every
+earlier position in the same way. The search still visits the
+candidates of each stream in order, and it skips only subtrees without
+an admissible coloring, so it meets the same first solution, in at most
+as many nodes; the node definition below is unchanged.
 
 The twin floor is not strict: twins at distance 2 may share one color, so
 at t = 1 they may carry the same set (tau_1 of S_2 is 2 only because
@@ -241,13 +245,11 @@ class _Prepared(NamedTuple):
     suffix_fresh: list[int]
     lower: int
     twin_prev: list[int]
-    culprits: list[int]
 
 
 def _prepare(graph: Graph, t: int) -> _Prepared:
     """Search order, per-position constraint lists, fresh-color floor,
-    starting lower bound, previous false twins and dead-end culprits, in
-    one pass.
+    starting lower bound and previous false twins, in one pass.
 
     The order is most constrained first: the next vertex is the unplaced
     one with the largest summed t - d + 1 over placed vertices at
@@ -284,12 +286,6 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
     k - suffix_fresh[i+1] admits is therefore a dead end.
     twin_prev[i] is the latest earlier position whose vertex has the same
     neighborhood (a false twin), or -1.
-    culprits[i] is the bitmask of the culprits of position i that do not
-    depend on the placed sets (see the module docstring): its partners at
-    distance 1, and twin_prev[i]. A full list holds about n^2/2 bits, so
-    it starts empty and _search appends each position's mask when it first
-    reaches it; a greedy pass never builds one. A prepared search with
-    partners or twin_prev replaced therefore needs culprits=[] too.
     """
     n = graph.n
     adjacency = graph.adjacency
@@ -348,7 +344,7 @@ def _prepare(graph: Graph, t: int) -> _Prepared:
         twin_prev.append(last_with.get(adjacency[v], -1))
         last_with[adjacency[v]] = i
     suffix_fresh = list(accumulate(reversed(fresh_min), initial=0))[::-1]
-    return _Prepared(order, partners, suffix_fresh, lower, twin_prev, [])
+    return _Prepared(order, partners, suffix_fresh, lower, twin_prev)
 
 
 class _Meter:
@@ -537,6 +533,31 @@ def _candidate_sets(
             return
 
 
+def _culprits(prep: _Prepared, pos: int, k: int, assign: list[int], starts: int) -> int:
+    """The culprits of a dead end at ``pos`` under class starts ``starts``,
+    a bitmask of earlier positions read off the placed sets (see the
+    module docstring)."""
+    k_eff = k - prep.suffix_fresh[pos + 1]
+    if k_eff > 0 and ~starts & ((1 << k_eff) - 1):
+        # the class rule reads every earlier set, unless each color is a
+        # class of its own and it cuts nothing
+        return (1 << pos) - 1
+    twin = prep.twin_prev[pos]
+    cs = 1 << twin if twin >= 0 else 0
+    adjacent = 0
+    plist = prep.partners[pos]
+    for j, limit in plist:
+        if not limit:
+            cs |= 1 << j
+            adjacent |= assign[j]
+    # a partner within distance 2..t is a culprit only if the colors no
+    # neighbor holds leave it more than its limit to share
+    for j, limit in plist:
+        if limit and (assign[j] & ~adjacent).bit_count() > limit:
+            cs |= 1 << j
+    return cs
+
+
 def _search(
     prep: _Prepared,
     t: int,
@@ -554,11 +575,10 @@ def _search(
 
     A stream that runs dry jumps back to the latest position of its
     conflict set (Prosser's conflict-directed backjumping): the positions
-    that the dead ends below it jumped back to it for, and its culprits,
-    the positions whose sets decided its candidates, read when it runs
-    dry. See the module docstring.
+    that the dead ends below it jumped back to it for, and its culprits
+    (see _culprits and the module docstring).
     """
-    _, partners, suffix_fresh, _, twin_prev, culprits = prep
+    _, partners, suffix_fresh, _, twin_prev = prep
     n = len(partners)
     streams = [None] * n
     conflicts = [0] * n  # earlier positions that dead ends traced here
@@ -582,32 +602,9 @@ def _search(
                 stream = _candidate_sets(k_eff, t, constraints, meter, floor, starts_at[pos])
                 streams[pos] = stream
                 conflicts[pos] = 0
-                if pos == len(culprits):  # first visit (see _prepare)
-                    culprit = 1 << twin if twin >= 0 else 0
-                    for j, limit in partners[pos]:
-                        if not limit:
-                            culprit |= 1 << j
-                    culprits.append(culprit)
             mask = next(stream, 0)
             if not mask:
-                cs = conflicts[pos]
-                k_eff = k - suffix_fresh[pos + 1]
-                if k_eff > 0 and ~starts_at[pos] & ((1 << k_eff) - 1):
-                    # the class rule reads every earlier set, unless each
-                    # color is a class of its own and it cuts nothing
-                    cs |= (1 << pos) - 1
-                else:
-                    # a partner within distance 2..t is a culprit only if
-                    # the colors no neighbor holds leave it more than its
-                    # limit to share
-                    cs |= culprits[pos]
-                    adjacent = 0
-                    for j, limit in partners[pos]:
-                        if not limit:
-                            adjacent |= assign[j]
-                    for j, limit in partners[pos]:
-                        if limit and (assign[j] & ~adjacent).bit_count() > limit:
-                            cs |= 1 << j
+                cs = conflicts[pos] | _culprits(prep, pos, k, assign, starts_at[pos])
                 if not cs:
                     return INFEASIBLE
                 pos = cs.bit_length() - 1

@@ -84,6 +84,42 @@ def test_verify_malformed_exit2(tmp_path):
     assert run_main("verify", str(gpath), str(cpath)) == 2
 
 
+def test_verify_names_the_file_it_cannot_read(tmp_path, capsys):
+    good_graph = tmp_path / "g.gr"
+    good_graph.write_text("2 1\n0 1\n")
+    good_coloring = tmp_path / "c.col"
+    good_coloring.write_text("1 2\n0: 0\n1: 1\n")
+    bad_graph = tmp_path / "bad.gr"
+    bad_graph.write_text("2 1\n0 x\n")
+    bad_coloring = tmp_path / "bad.col"
+    bad_coloring.write_text("1 2\n0: x\n1: 1\n")
+    missing = tmp_path / "missing.col"
+    for argv, kind, path in (
+        ([bad_graph, good_coloring], "graph", bad_graph),
+        ([good_graph, bad_coloring], "coloring", bad_coloring),
+        ([good_graph, missing], "coloring", missing),
+    ):
+        assert run_main("verify", *map(str, argv)) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot read {kind} {str(path)!r}: "), err
+        assert out == ""
+    # the empty graph is read, not rejected, and its empty coloring is valid
+    empty = tmp_path / "empty.gr"
+    empty.write_text("0 0\n")
+    none = tmp_path / "none.col"
+    none.write_text("2 2\n")
+    assert run_main("verify", str(empty), str(none)) == 0
+    assert capsys.readouterr().out == "valid: True\ncolors_used: 0\n"
+
+
+def test_complete_family_needs_a_vertex(capsys):
+    assert run_main("solve", "--family", "complete", "0", "--t", "2") == 2
+    assert capsys.readouterr().err == (
+        "error: bad --family arguments for 'complete': "
+        "complete graph needs at least one vertex\n"
+    )
+
+
 def test_solve_star_t4(capsys):
     assert run_main("solve", "--family", "star", "3", "--t", "4") == 0
     assert "exact 13" in capsys.readouterr().out

@@ -102,6 +102,13 @@ def test_build_complete_multipartite():
         build_complete_multipartite([2, 0])
 
 
+def test_build_complete_needs_a_vertex():
+    assert (build_complete(1).n, build_complete(1).m) == (1, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^complete graph needs at least one vertex$"):
+            build_complete(n)
+
+
 def test_cartesian_products():
     q3 = cartesian_power(build_complete(2), 3)
     assert q3.n == 8 and q3.m == 12

@@ -558,23 +558,26 @@ def test_twin_floor_agrees_with_the_search_without_it():
         t = rng.randrange(1, 4)
         prep = _prepare(g, t)
         value, nodes = solve(g, t, prep)
-        plain = prep._replace(twin_prev=[-1] * g.n, culprits=[])  # culprits read twin_prev
+        plain = prep._replace(twin_prev=[-1] * g.n)
         plain_value, plain_nodes = solve(g, t, plain)
         assert value == plain_value and nodes <= plain_nodes, (sorted(g.edges), t)
         fewer += nodes < plain_nodes
     assert fewer >= 30
 
 
-def _every_partner_a_culprit(prep):
-    """prep with every partner and the previous twin a culprit of each
-    position, whatever the sets placed."""
-    masks = []
-    for plist, twin in zip(prep.partners, prep.twin_prev):
-        mask = 1 << twin if twin >= 0 else 0
-        for j, _ in plist:
-            mask |= 1 << j
-        masks.append(mask)
-    return prep._replace(culprits=masks)
+def _every_partner_a_culprit(prep, pos, k, assign, starts):
+    """A dead-end rule with every partner and the previous twin a culprit
+    of each position, whatever the sets placed."""
+    twin = prep.twin_prev[pos]
+    mask = 1 << twin if twin >= 0 else 0
+    for j, _ in prep.partners[pos]:
+        mask |= 1 << j
+    return mask
+
+
+def _every_earlier_position_a_culprit(prep, pos, k, assign, starts):
+    """The dead-end rule of chronological backtracking."""
+    return (1 << pos) - 1
 
 
 def test_backjumping_agrees_with_chronological_backtracking():
@@ -583,18 +586,21 @@ def test_backjumping_agrees_with_chronological_backtracking():
     nothing that backjumping does not decide alike, with the same witness,
     and it never spends fewer nodes. Neither does backjumping with every
     partner a culprit, the far ones that cut nothing too."""
+    from tonelab import solver
     from tonelab.solver import _decide, _Meter, _prepare
 
-    def solve(graph, t, prep):
+    def solve(graph, t, prep, rule=solver._culprits):
         """The first verdict other than infeasible, its palette size, its
-        witness and the nodes spent."""
+        witness and the nodes spent, with ``rule`` as the dead-end rule."""
         meter = _Meter(SearchBudget(max_nodes=10_000))
         k = prep.lower
-        while True:
-            status, witness = _decide(graph, prep, t, k, meter)
-            if status != INFEASIBLE:
-                return status, k, witness, meter.nodes
-            k += 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_culprits", rule)
+            while True:
+                status, witness = _decide(graph, prep, t, k, meter)
+                if status != INFEASIBLE:
+                    return status, k, witness, meter.nodes
+                k += 1
 
     rng = random.Random(1993)
     fewer = fewer_than_every = 0
@@ -612,9 +618,8 @@ def test_backjumping_agrees_with_chronological_backtracking():
             t = rng.randrange(2, 4)
         prep = _prepare(g, t)
         *verdict, nodes = solve(g, t, prep)
-        chronological = prep._replace(culprits=[(1 << i) - 1 for i in range(g.n)])
-        *plain, plain_nodes = solve(g, t, chronological)
-        *coarse, coarse_nodes = solve(g, t, _every_partner_a_culprit(prep))
+        *plain, plain_nodes = solve(g, t, prep, _every_earlier_position_a_culprit)
+        *coarse, coarse_nodes = solve(g, t, prep, _every_partner_a_culprit)
         assert nodes <= coarse_nodes <= plain_nodes, (sorted(g.edges), t)
         for other in (plain, coarse):
             if other[0] == TIMEOUT:  # backjumping gets at least as far
@@ -637,20 +642,38 @@ def test_backjumping_decides_the_sparse_instance_chronological_search_cannot():
     assert verify(g, out.witness).valid and colors_used(out.witness) == 7
 
 
-def test_far_partners_that_cut_nothing_are_not_culprits():
+def test_far_partners_that_cut_nothing_are_not_culprits(monkeypatch):
     """tau_2 of G(300, 0.01) seed 53 is 7. With every partner a culprit,
     the search spends 25,000 nodes at k = 7 without a verdict; counting a
     distance-2 partner only when its set avoids every neighbor's colors
     decides it in under 2,000."""
+    from tonelab import solver
     from tonelab.solver import _decide, _Meter, _prepare
 
     g = build_gnp(300, 0.01, 53)
     out = tau_exact(g, 2, SearchBudget(max_nodes=2_000))
     assert (out.status, out.value) == (EXACT, 7)
     assert verify(g, out.witness).valid and colors_used(out.witness) == 7
-    coarse = _every_partner_a_culprit(_prepare(g, 2))
-    status, _ = _decide(g, coarse, 2, 7, _Meter(SearchBudget(max_nodes=25_000)))
+    monkeypatch.setattr(solver, "_culprits", _every_partner_a_culprit)
+    status, _ = _decide(g, _prepare(g, 2), 2, 7, _Meter(SearchBudget(max_nodes=25_000)))
     assert status == TIMEOUT
+
+
+def test_a_search_leaves_its_prepared_search_as_it_found_it():
+    """The prepared search is read-only: after decision searches that
+    refute, time out and succeed, it equals a fresh _prepare, so the
+    searches of one tau_exact share it safely."""
+    from tonelab.solver import _decide, _Meter, _prepare
+
+    for g, t, ks in [
+        (build_gnp(300, 0.01, 1), 2, (6, 7)),
+        (build_gnp(300, 0.01, 13), 2, (7,)),
+        (cartesian_power(build_complete(2), 4), 3, (11, 12)),
+    ]:
+        prep = _prepare(g, t)
+        for k in ks:
+            _decide(g, prep, t, k, _Meter(SearchBudget(max_nodes=3_000)))
+        assert prep == _prepare(g, t)
 
 
 def test_a_completed_greedy_pass_is_the_searchs_first_solution():
