@@ -43,6 +43,39 @@ class ToneColoring:
         self.palette_size = palette_size
         self.assignment = tuple(rows)
 
+    @classmethod
+    def from_masks(cls, t: int, palette_size: int, masks: Sequence[int]) -> "ToneColoring":
+        """The coloring whose vertex v holds the colors of bit mask masks[v].
+
+        Each distinct mask is checked as a row is: t colors, all inside
+        the palette. When the colors in use are 0..u-1, the masks are
+        already the rank masks, so they are kept as `masks` and no row is
+        ranked again.
+        """
+        if t < 1:
+            raise ValueError("tone parameter t must be >= 1")
+        if palette_size < t:
+            raise ValueError("palette smaller than t")
+        rows: dict[int, tuple[int, ...]] = {}
+        used = 0
+        for v, mask in enumerate(masks):
+            if mask in rows:
+                continue
+            if mask < 0 or mask.bit_count() != t:
+                raise ValueError(f"vertex {v} needs exactly {t} distinct colors")
+            if mask.bit_length() > palette_size:
+                raise ValueError(f"vertex {v} has a color outside the palette")
+            rows[mask] = tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+            used |= mask
+        self = cls.__new__(cls)
+        self.t = t
+        self.palette_size = palette_size
+        self.assignment = tuple(map(rows.__getitem__, masks))
+        if not used & (used + 1):  # colors 0..u-1
+            self.colors = tuple(range(used.bit_length()))
+            self.masks = tuple(masks)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.assignment)

@@ -34,7 +34,9 @@ class Graph:
     per vertex, and no edge list or set: m, degrees (cached on first
     read), sorted_edges() and the edges view are read off the adjacency.
     An edge (u, v) may come in either orientation and more than once; it
-    is checked as it streams in, a self-loop before a range error.
+    is checked as it streams in, a self-loop before a range error. Each
+    neighbour list is sorted in place, and only one that holds a repeat,
+    which only a repeated edge brings, is rebuilt without it.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -48,8 +50,13 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u].append(v)
             adj[v].append(u)
+        for a in adj:
+            if len(a) > 1:
+                a.sort()
+                if len(set(a)) < len(a):  # a repeated edge
+                    a[:] = sorted(set(a))
         self.n = n
-        self.adjacency = tuple(tuple(sorted(set(a))) for a in adj)
+        self.adjacency = tuple(map(tuple, adj))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

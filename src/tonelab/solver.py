@@ -109,8 +109,12 @@ its two leaves share a color), and twins without neighbors may share any
 set.
 
 The search runs on explicit stacks: one lazy candidate stream per search
-position, and inside each stream one frame per picked color. Its depth is
-therefore bounded by n and t, not by Python's recursion limit.
+position, and inside each stream one small frame per pick depth that has
+colors left to try (see _candidate_sets). Its depth is therefore bounded
+by n and t, not by Python's recursion limit. A suspended stream holds its
+short list of open constraints (those with allowance left) and at most
+t - 1 frames, nothing sized by the palette, so the streams of a deep
+search cost little each.
 
 Search effort is counted in nodes, which are deterministic and drive the
 node budget: each entry into a position's candidate search (see
@@ -413,12 +417,15 @@ def _candidate_sets(
     slots - allowance unconstrained colors in [c, k).
 
     A constraint is spent once the mask holds ``limit`` of its colors, and
-    the colors of a spent constraint are blocked. Each pick depth keeps a
-    frame with the mask, the blocked colors and the summed allowance on
-    entry. Picking color c derives the child's from its frame: it blocks
-    each open constraint containing c that the new mask has spent, and
-    takes one unit of allowance per open constraint containing c.
-    Backtracking therefore undoes nothing.
+    the colors of a spent constraint are blocked. The constraints are split
+    once, on entry: those of limit 0 are spent already, so their colors
+    start blocked, and the rest form a short open list. Each pick depth
+    with colors left to try pushes one frame, [colors left, mask, blocked
+    colors, summed allowance, floor edge], its state on entry, and pops it
+    once those colors run out. Picking color c derives the child's state
+    from the frame: it scans the open list for the constraints containing
+    c, takes one unit of allowance per such constraint, and blocks each
+    one the new mask has spent. Backtracking therefore undoes nothing.
 
     ``starts`` marks the first color of each class of interchangeable
     colors (see the module docstring); classes are runs of consecutive
@@ -439,38 +446,29 @@ def _candidate_sets(
     node is one entry into it: the empty pick and each pick of a color.
     ``meter`` counts nodes and enforces the budget.
     """
-    # per color: the open constraints (limit > 0) that one pick of it
-    # draws on; colors in a spent constraint are blocked
-    draws: list[tuple[tuple[int, int], ...]] = [()] * k
+    # limit-0 constraints block their colors at once; a pick of color c
+    # scans the open ones (limit > 0) for those that contain c
+    open_: list[tuple[int, int]] = []
     constrained = blocked = allowance = 0
-    for cmask, limit in constraints:
+    for con in constraints:
+        cmask, limit = con
         constrained |= cmask
         allowance += limit
-        if limit <= 0:
+        if limit > 0:
+            open_.append(con)
+        else:
             blocked |= cmask
-            continue
-        entry = ((cmask, limit),)
-        bits = cmask
-        while bits:
-            low = bits & -bits
-            draws[low.bit_length() - 1] += entry
-            bits ^= low
     free = ((1 << max(k, 0)) - 1) & ~constrained  # _search may pass k < 0
     nodes = meter.nodes
     stop = meter.limit
-    # one frame per pick depth: colors left to try, the mask, blocked
-    # colors and summed allowance on entry, and the floor's next color if
-    # the frame is tight (else 0); a pick derives its child's from these,
-    # so backtracking restores nothing
-    cand_at = [0] * t
-    mask_at = [0] * t
-    blocked_at = [0] * t
-    allow_at = [0] * t
-    edge_at = [0] * t
-    depth = lo = mask = edge = 0
+    # one frame per pick depth with colors left: [colors left to try, mask,
+    # blocked colors, summed allowance, the floor's next color if the
+    # frame is tight (else 0)], the state on entry to that depth
+    stack: list[list[int]] = []
+    lo = mask = edge = 0
     tight = floor != 0
     while True:
-        # enter a node: depth colors picked in mask, colors >= lo left
+        # enter a node: len(stack) colors picked in mask, colors >= lo left
         nodes += 1
         if nodes > stop:
             stop = meter.overrun(nodes)
@@ -478,7 +476,7 @@ def _candidate_sets(
             edge = floor & ~mask
             edge &= -edge
             lo = edge.bit_length() - 1
-        slots = t - depth
+        slots = t - len(stack)
         end = k - slots + 1
         short = slots - allowance  # unconstrained colors still needed
         if short > 0:
@@ -502,32 +500,28 @@ def _candidate_sets(
                     yield mask | low
                     nodes = meter.nodes
                     stop = meter.limit
-            cand_at[depth] = cand
-            mask_at[depth] = mask
-            blocked_at[depth] = blocked
-            allow_at[depth] = allowance
-            edge_at[depth] = edge
-        else:
-            depth -= 1
-        # backtrack to the next untried pick, or finish frames on the way up
-        while depth >= 0:
-            cand = cand_at[depth]
+            elif cand:
+                stack.append([cand, mask, blocked, allowance, edge])
+        # backtrack to the next untried pick, popping spent frames
+        while stack:
+            frame = stack[-1]
+            cand = frame[0]
             if cand:
                 low = cand & -cand
-                cand_at[depth] = cand ^ low
-                c = low.bit_length() - 1
-                mask = mask_at[depth] | low
-                blocked = blocked_at[depth]
-                for cmask, limit in draws[c]:
-                    if (mask & cmask).bit_count() >= limit:  # now spent
-                        blocked |= cmask
-                allowance = allow_at[depth] - len(draws[c])
-                tight = low == edge_at[depth]
+                frame[0] = cand ^ low
+                mask = frame[1] | low
+                blocked = frame[2]
+                allowance = frame[3]
+                for cmask, limit in open_:
+                    if cmask & low:
+                        allowance -= 1
+                        if (mask & cmask).bit_count() >= limit:  # now spent
+                            blocked |= cmask
+                tight = low == frame[4]
                 edge = 0  # a tight child sets its own on entry
-                lo = c + 1
-                depth += 1
+                lo = low.bit_length()  # the color after the pick
                 break
-            depth -= 1
+            stack.pop()
         else:
             meter.nodes = nodes
             return
@@ -625,11 +619,10 @@ def _search(
 
 
 def _witness_from(order, assign, t: int, k: int) -> ToneColoring:
-    rows: list[list[int]] = [[] for _ in order]
-    for i, v in enumerate(order):
-        mask = assign[i]
-        rows[v] = [c for c in range(k) if (mask >> c) & 1]
-    return ToneColoring(t, k, rows)
+    masks = [0] * len(order)
+    for v, mask in zip(order, assign):
+        masks[v] = mask
+    return ToneColoring.from_masks(t, k, masks)
 
 
 def _decide(

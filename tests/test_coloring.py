@@ -30,6 +30,43 @@ def test_tone_coloring_invariants():
         ToneColoring(0, 4, [])
 
 
+def test_from_masks_equals_the_row_constructor():
+    """Built from bit masks, a coloring equals the one built from its rows,
+    whether its colors are 0..u-1 (the masks are kept as the rank masks)
+    or skip indices (the rank masks are computed as for rows)."""
+    rng = random.Random(34)
+    gaps = 0
+    for trial in range(400):
+        t = rng.randrange(1, 5)
+        palette = rng.randrange(t, 3 * t + 4)
+        # half the trials draw from 0..u-1 only, the rest from the palette
+        top = rng.randrange(t, palette + 1) if trial % 2 else palette
+        rows = [rng.sample(range(top), t) for _ in range(rng.randrange(0, 12))]
+        masks = [sum(1 << c for c in row) for row in rows]
+        built = ToneColoring.from_masks(t, palette, masks)
+        plain = ToneColoring(t, palette, rows)
+        assert built == plain
+        assert built.assignment == plain.assignment
+        assert built.colors == plain.colors
+        assert built.masks == plain.masks
+        gaps += plain.colors != tuple(range(len(plain.colors)))
+    assert gaps >= 100
+
+
+def test_from_masks_runs_the_row_checks():
+    assert ToneColoring.from_masks(2, 2, [0b11]).assignment == ((0, 1),)
+    with pytest.raises(ValueError):
+        ToneColoring.from_masks(0, 4, [])
+    with pytest.raises(ValueError):
+        ToneColoring.from_masks(3, 2, [0b11])  # palette below t
+    with pytest.raises(ValueError):
+        ToneColoring.from_masks(2, 4, [0b0011, 0b0111])  # three colors
+    with pytest.raises(ValueError):
+        ToneColoring.from_masks(1, 4, [0])
+    with pytest.raises(ValueError):
+        ToneColoring.from_masks(2, 4, [0b10001])  # color 4 outside the palette
+
+
 def test_verify_k2_disjoint_pairs():
     g = build_complete(2)
     rep = verify(g, ToneColoring(2, 4, [[0, 1], [2, 3]]))

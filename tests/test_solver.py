@@ -773,6 +773,79 @@ def test_candidate_generator_matches_counted_reference():
     assert 100 < stops < 500
 
 
+def test_streams_sharing_a_meter_yield_as_they_do_alone():
+    """Two candidate streams on one meter, advanced in turn with one
+    placement node after each yield, as _search advances its streams,
+    yield the masks each yields alone. The shared count is the two solo
+    counts plus the placements, under a far deadline that hands a new
+    limit to whichever stream is running; under a node cap the pair stops
+    one node past it, each stream having yielded a prefix of its masks."""
+    from tonelab.solver import _BudgetExhausted, _candidate_sets, _Meter
+
+    def spec(rng):
+        k = rng.randrange(1, 11)
+        t = rng.randrange(1, min(4, k) + 1)
+        used = rng.randrange(0, k + 1)
+        constraints = []
+        for _ in range(rng.randrange(0, 6)):
+            mask = sum(1 << c for c in rng.sample(range(used), rng.randrange(0, used + 1)))
+            constraints.append((mask, rng.randrange(0, t + 1)))
+        return k, t, constraints, (2 << used) - 1
+
+    def stream(spec, meter):
+        k, t, constraints, starts = spec
+        return _candidate_sets(k, t, list(constraints), meter, 0, starts)
+
+    def interleaved(specs, meter, rng):
+        """Each stream's masks and the placements, advancing a random live
+        stream each time; the masks so far when the budget stops them."""
+        streams = [stream(s, meter) for s in specs]
+        got: list[list[int]] = [[] for _ in specs]
+        live = list(range(len(specs)))
+        placed = 0
+        try:
+            while live:
+                i = rng.choice(live)
+                mask = next(streams[i], 0)
+                if not mask:
+                    live.remove(i)
+                    continue
+                got[i].append(mask)
+                nodes = meter.nodes + 1  # the placement
+                meter.nodes = nodes
+                if nodes > meter.limit:
+                    meter.overrun(nodes)
+                placed += 1
+        except _BudgetExhausted:
+            return got, placed, True
+        return got, placed, False
+
+    rng = random.Random(34)
+    stops = 0
+    for _ in range(300):
+        specs = [spec(rng), spec(rng)]
+        solo = []
+        for s in specs:
+            meter = _Meter()
+            solo.append((list(stream(s, meter)), meter.nodes))
+        meter = _Meter(SearchBudget(max_nodes=None, max_millis=1e9))
+        got, placed, stopped = interleaved(specs, meter, rng)
+        assert not stopped and got == [masks for masks, _ in solo], specs
+        total = meter.nodes
+        assert total == sum(nodes for _, nodes in solo) + placed, specs
+        cap = rng.randrange(0, total + 1)
+        meter = _Meter(SearchBudget(max_nodes=cap))
+        got, _, stopped = interleaved(specs, meter, rng)
+        if stopped:
+            assert meter.nodes == cap + 1, specs
+            stops += 1
+        else:
+            assert got == [masks for masks, _ in solo], specs
+        for masks, (alone, _) in zip(got, solo):
+            assert masks == alone[: len(masks)], specs
+    assert stops >= 250
+
+
 def test_wall_clock_budget_times_out():
     # the cube of S_3 with 7 colors at t = 2 is open at two million nodes,
     # so the deadline check (every 1024 nodes) fires before the search can
